@@ -15,9 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -168,15 +166,6 @@ class ExperimentReport:
         return all(c["passed"] for c in self.checks)
 
 
-def _map_trials(fn, args):
-    threads = int(os.environ.get("LAB_THREADS", "1") or "1")
-    args = list(args)
-    if threads <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
-
-
 def _check(name: str, passed: bool, value, limit=None) -> dict:
     entry = {"name": name, "passed": bool(passed), "value": value}
     if limit is not None:
@@ -232,7 +221,7 @@ def _run_extract_stats(config: ExperimentConfig) -> ExperimentReport:
         return (trial_seed, 0.0, rounds, oracle.samples_consumed, 0,
                 example.joint_code())
 
-    results = _map_trials(one, range(config.trials))
+    results = [one(i) for i in range(config.trials)]
     rows = [r[:5] for r in results]
     codes = [r[5] for r in results if r[5] is not None]
     counts: dict[int, int] = {}
@@ -325,7 +314,7 @@ def _run_parity_end_to_end(config: ExperimentConfig) -> ExperimentReport:
         return (trial_seed, err, method.T,
                 out.transcript.samples_consumed, 0 if audit_ok else 1)
 
-    rows = _map_trials(one, range(config.trials))
+    rows = [one(i) for i in range(config.trials)]
     mean_err = _mean([r[1] for r in rows])
     violations = sum(r[4] for r in rows)
     baseline_trials = int(p.get("baseline_trials", config.trials))
@@ -391,7 +380,7 @@ def _run_regime_sweep(config: ExperimentConfig) -> ExperimentReport:
         return (b, config.seed, rate, config.trials, b * config.trials,
                 int(round(rate * config.trials)), validity)
 
-    rows = _map_trials(one, values)
+    rows = [one(b) for b in values]
     validity = [r[6] for r in rows]
     monotone = all(validity[i] <= validity[i + 1] + 1e-12
                    for i in range(len(validity) - 1))
@@ -484,7 +473,7 @@ def _run_gadget_audit(config: ExperimentConfig) -> ExperimentReport:
         bad += _audit_emulation(trial_seed)
         return (trial_seed, 0.0, 4, 32, bad)
 
-    rows = _map_trials(one, range(config.trials))
+    rows = [one(i) for i in range(config.trials)]
     violations = sum(r[4] for r in rows)
     summary = {"tau": tau, "weight_drift_violations": violations}
     checks = [_check("weight_drift_violations", violations == 0,
@@ -534,7 +523,7 @@ def _run_reduction_matrix(config: ExperimentConfig) -> ExperimentReport:
                 0 if report.holds else 1, pair, report.err_source.mean,
                 report.margin)
 
-    rows = _map_trials(one, stage_lists)
+    rows = [one(stages) for stages in stage_lists]
     failed = [r[5] for r in rows if r[4]]
     summary = {"n": n, "m": m, "b": b, "tau": tau, "delta": delta,
                "pairs": [r[5] for r in rows],
@@ -675,9 +664,10 @@ def verify_transcript(path: str | Path) -> VerifyReport:
     """Re-check every recorded oracle round against its validity rule.
 
     Gradient transcripts must satisfy the grid-rounding contract round
-    by round; batch-query transcripts must stay within tolerance of the
-    recorded batch mean.  Rounds missing the data needed for the check
-    are flagged rather than skipped.
+    by round; query transcripts (population, fresh-batch, frozen-batch
+    and replayed) must stay within tolerance of the recorded mean.
+    Rounds missing the data needed for the check are flagged rather
+    than skipped.
     """
     transcript = Transcript.from_jsonl(path)
     kind = str(transcript.meta.get("kind", "unknown"))
@@ -697,12 +687,12 @@ def verify_transcript(path: str | Path) -> VerifyReport:
                 continue
             ok = bool(valid_rounding(response, mean, rho))
             note = "" if ok else "response violates the rounding contract"
-        elif rec.kind == "bsq":
+        elif rec.kind in ("sq", "bsq", "fbsq", "replay"):
             tau = float(transcript.meta["tau"])
             gap = float(np.max(np.abs(response - mean))) if len(mean) \
                 else 0.0
             ok = gap <= tau + 1e-12
-            note = "" if ok else f"response off the batch mean by {gap}"
+            note = "" if ok else f"response off the recorded mean by {gap}"
         else:
             ok, note = False, f"no validity rule for kind {rec.kind!r}"
         verdicts.append(RoundVerdict(rec.index, rec.kind, ok, note))

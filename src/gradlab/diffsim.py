@@ -112,14 +112,6 @@ def snap_responses(v, grid: float, bound: float | None = None) -> np.ndarray:
     return snapped
 
 
-def _forced_label(restriction: LabelRestriction) -> int:
-    if restriction is LabelRestriction.ONE_QUERY:
-        return 1
-    if restriction is LabelRestriction.ZERO_QUERY:
-        return 0
-    raise ValueError("query must carry a one-label restriction")
-
-
 def build_single_query_model(query: SQQuery,
                              restriction: LabelRestriction | None = None,
                              epsilon: float = 2 ** -5) -> DiffModel:
@@ -132,7 +124,9 @@ def build_single_query_model(query: SQQuery,
     """
     if restriction is None:
         restriction = query.restriction
-    label = _forced_label(restriction)
+    label = restriction.forced_label
+    if label is None:
+        raise ValueError("query must carry a one-label restriction")
     if epsilon <= 0:
         raise ValueError("need epsilon > 0")
     one = label == 1

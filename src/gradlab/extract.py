@@ -305,11 +305,7 @@ class _BitCursor:
         self.overflow_consumed += 1
         return self._overflow.bit()
 
-    def take(self, k: int) -> int:
-        out = 0
-        for _ in range(k):
-            out = (out << 1) | self.bit()
-        return out
+    take = BitStream.take
 
 
 @dataclass(eq=False)

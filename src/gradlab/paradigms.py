@@ -284,123 +284,130 @@ class _SupportValueCache:
         return vals
 
 
-class SQOracle:
-    """Statistical queries answered from exact population expectations."""
+class _QueryOracle:
+    """The one ask path: rows -> exact mean -> adversary noise -> record.
 
-    def __init__(self, D: FiniteDistribution, tau: float,
-                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
-                 seed: int = 0, record: bool = True):
-        self.D = D
-        self.tau = float(tau)
-        self.adversary = adversary
-        self._rng = np.random.default_rng(seed)
-        self._support = _SupportValueCache(D)
-        self.transcript = Transcript(meta={"kind": "sq", "tau": self.tau})
-        self.record = record
-        self.rounds = 0
-
-    def ask(self, query: SQQuery) -> np.ndarray:
-        vals = self._support.values(query)
-        mean = self.D.probs @ vals
-        response = _apply_noise(mean, self.tau, self.adversary, self._rng)
-        self.rounds += 1
-        if self.record:
-            self.transcript.append(RoundRecord(
-                index=self.rounds, kind="sq", response=response.copy(),
-                exact_mean=mean.copy()))
-        return response
-
-
-class BSQOracle:
-    """Batch statistical queries against fresh hidden mini-batches.
-
-    Each ask draws b fresh i.i.d. examples from one master stream, so
-    the whole interaction is determined by the construction seed.  The
-    hidden batch never leaves the oracle except through the transcript.
+    Oracles differ only in `_rows`, which returns the per-example values
+    behind the mean, the exact mean, and the batch codes to record (or
+    None).  The subclass sets `transcript` with its own meta keys.
     """
 
-    def __init__(self, D: FiniteDistribution, b: int, tau: float,
-                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
-                 seed: int = 0, record: bool = True, record_items: bool = False):
-        if b <= 0:
-            raise ValueError("batch size must be positive")
-        self.D = D
-        self.b = int(b)
-        self.tau = float(tau)
-        self.adversary = adversary
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(seed)
-        self._support = _SupportValueCache(D)
-        self.record = record
-        self.record_items = record_items
-        self.transcript = Transcript(
-            meta={"kind": "bsq", "b": self.b, "tau": self.tau, "seed": self.seed})
-        self.rounds = 0
-        self.samples_consumed = 0
+    kind = ""
+    record_items = False
 
-    def ask(self, query: SQQuery) -> np.ndarray:
-        vals = self._support.values(query)
-        idx = np.searchsorted(self.D.cdf, self._rng.random(self.b), side="right")
-        idx = np.minimum(idx, len(self.D.support) - 1)
-        mean = vals[idx].mean(axis=0)
-        response = _apply_noise(mean, self.tau, self.adversary, self._rng)
-        self.rounds += 1
-        self.samples_consumed += self.b
-        self.transcript.samples_consumed = self.samples_consumed
-        if self.record:
-            rec = RoundRecord(
-                index=self.rounds, kind="bsq", response=response.copy(),
-                exact_mean=mean.copy(),
-                batch_codes=[int(c) for c in self.D.joint_codes[idx]])
-            if self.record_items:
-                rec.item_values = [vals[i].tolist() for i in idx]
-            self.transcript.append(rec)
-        return response
-
-
-class FBSQOracle:
-    """Statistical queries against one frozen batch.
-
-    Identical queries under the zero-noise adversary always give
-    identical answers, because the batch never changes.
-    """
-
-    def __init__(self, batch: Batch, tau: float,
-                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
-                 seed: int = 0, record: bool = True, record_items: bool = False):
-        if not batch.items:
-            raise ValueError("frozen batch must be nonempty")
-        self.batch = batch
-        self.m = len(batch.items)
+    def __init__(self, tau: float, adversary: NoiseAdversary, seed: int,
+                 record: bool):
         self.tau = float(tau)
         self.adversary = adversary
         self._rng = np.random.default_rng(seed)
         self.record = record
-        self.record_items = record_items
-        self.transcript = Transcript(
-            meta={"kind": "fbsq", "m": self.m, "tau": self.tau})
         self.rounds = 0
 
+    def _rows(self, query: SQQuery
+              ) -> tuple[np.ndarray, np.ndarray, Sequence[int] | None]:
+        raise NotImplementedError
+
     def ask(self, query: SQQuery) -> np.ndarray:
-        vals = np.stack([query.evaluate(ex) for ex in self.batch.items])
-        mean = vals.mean(axis=0)
+        vals, mean, codes = self._rows(query)
         response = _apply_noise(mean, self.tau, self.adversary, self._rng)
         self.rounds += 1
         if self.record:
             rec = RoundRecord(
-                index=self.rounds, kind="fbsq", response=response.copy(),
+                index=self.rounds, kind=self.kind, response=response.copy(),
                 exact_mean=mean.copy(),
-                batch_codes=[ex.joint_code() for ex in self.batch.items])
+                batch_codes=None if codes is None else [int(c) for c in codes])
             if self.record_items:
                 rec.item_values = [v.tolist() for v in vals]
             self.transcript.append(rec)
         return response
 
 
+class SQOracle(_QueryOracle):
+    """Statistical queries answered from exact population expectations."""
+
+    kind = "sq"
+
+    def __init__(self, D: FiniteDistribution, tau: float,
+                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
+                 seed: int = 0, record: bool = True):
+        super().__init__(tau, adversary, seed, record)
+        self.D = D
+        self._support = _SupportValueCache(D)
+        self.transcript = Transcript(meta={"kind": self.kind, "tau": self.tau})
+
+    def _rows(self, query: SQQuery):
+        vals = self._support.values(query)
+        return vals, self.D.probs @ vals, None
+
+
+class BSQOracle(_QueryOracle):
+    """Batch statistical queries against fresh hidden mini-batches.
+
+    Each ask draws b fresh i.i.d. examples from one master stream, so
+    the whole interaction is determined by the construction seed.  The
+    hidden batch never leaves the oracle except through the transcript.
+    The support is evaluated before the draw, so a query failing its
+    range or restriction check leaves the stream untouched.
+    """
+
+    kind = "bsq"
+
+    def __init__(self, D: FiniteDistribution, b: int, tau: float,
+                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
+                 seed: int = 0, record: bool = True, record_items: bool = False):
+        if b <= 0:
+            raise ValueError("batch size must be positive")
+        super().__init__(tau, adversary, seed, record)
+        self.D = D
+        self.b = int(b)
+        self.seed = int(seed)
+        self._support = _SupportValueCache(D)
+        self.record_items = record_items
+        self.transcript = Transcript(
+            meta={"kind": self.kind, "b": self.b, "tau": self.tau,
+                  "seed": self.seed})
+        self.samples_consumed = 0
+
+    def _rows(self, query: SQQuery):
+        vals = self._support.values(query)
+        idx = self.D.draw_indices(self._rng, self.b)
+        self.samples_consumed += self.b
+        self.transcript.samples_consumed = self.samples_consumed
+        rows = vals[idx]
+        return rows, rows.mean(axis=0), self.D.joint_codes[idx]
+
+
+class FBSQOracle(_QueryOracle):
+    """Statistical queries against one frozen batch.
+
+    Identical queries under the zero-noise adversary always give
+    identical answers, because the batch never changes.
+    """
+
+    kind = "fbsq"
+
+    def __init__(self, batch: Batch, tau: float,
+                 adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
+                 seed: int = 0, record: bool = True, record_items: bool = False):
+        if not batch.items:
+            raise ValueError("frozen batch must be nonempty")
+        super().__init__(tau, adversary, seed, record)
+        self.batch = batch
+        self.m = len(batch.items)
+        self._codes = [ex.joint_code() for ex in batch.items]
+        self.record_items = record_items
+        self.transcript = Transcript(
+            meta={"kind": self.kind, "m": self.m, "tau": self.tau})
+
+    def _rows(self, query: SQQuery):
+        vals = np.stack([query.evaluate(ex) for ex in self.batch.items])
+        return vals, vals.mean(axis=0), self._codes
+
+
 def sq_oracle_answer(D: FiniteDistribution, query: SQQuery, tau: float,
                      adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
-                     seed: int = 0) -> float:
-    """One-shot scalar convenience wrapper around SQOracle."""
+                     seed: int = 0) -> float | np.ndarray:
+    """One-shot query; a float for scalar queries, else the vector."""
     oracle = SQOracle(D, tau, adversary, seed, record=False)
     return float(oracle.ask(query)[0]) if query.arity == 1 else oracle.ask(query)
 
@@ -577,10 +584,6 @@ def _run_gradient_method(model: DiffModel, batches, T: int, rho: float,
                      final_params=w.copy(), init_bits=bits)
 
 
-def _w_before(w, response, gamma):  # pragma: no cover - placeholder, unused
-    return w
-
-
 def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
              b: int, gamma: float = 1.0,
              rounding: RoundingOracle | None = None, seed: int = 0,
@@ -597,13 +600,10 @@ def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
         rounding = RoundingOracle()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
     support = D.support
-    cdf = D.cdf
     b = int(b)
 
     def batches(t: int) -> tuple[Example, ...]:
-        idx = np.searchsorted(cdf, rng.random(b), side="right")
-        idx = np.minimum(idx, len(support) - 1)
-        return tuple(support[i] for i in idx)
+        return tuple(support[i] for i in D.draw_indices(rng, b))
 
     return _run_gradient_method(model, batches, T, rho, gamma, rounding, seed,
                                 "bsgd", b, record, record_items, record_hashes,
@@ -840,9 +840,7 @@ class BSQMethod:
             **_: object) -> MethodRun:
         oracle = BSQOracle(D, self.b, self.tau, adversary, seed,
                            record=record, record_items=record_items)
-        out = _drive_query_method(self.program, self.k, oracle, seed, self.p)
-        out.transcript.samples_consumed = oracle.samples_consumed
-        return out
+        return _drive_query_method(self.program, self.k, oracle, seed, self.p)
 
 
 @dataclass(eq=False)

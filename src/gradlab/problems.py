@@ -127,6 +127,11 @@ class FiniteDistribution:
     def __len__(self) -> int:
         return len(self.support)
 
+    def draw_indices(self, rng: np.random.Generator, b: int) -> np.ndarray:
+        """Support indices of b i.i.d. inverse-CDF draws from rng."""
+        idx = np.searchsorted(self.cdf, rng.random(b), side="right")
+        return np.minimum(idx, len(self.support) - 1)
+
     def expectation(self, f) -> float:
         """Exact sum of f(example) weighted by the table."""
         return float(sum(p * f(ex) for ex, p in self.entries))
@@ -183,9 +188,7 @@ def sample_batch(D: FiniteDistribution, b: int, seed: int) -> Batch:
     """Draw b i.i.d. examples by inverse CDF; deterministic in seed."""
     if b <= 0:
         raise ValueError("batch size must be positive")
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(D.cdf, rng.random(b), side="right")
-    idx = np.minimum(idx, len(D.support) - 1)
+    idx = D.draw_indices(np.random.default_rng(seed), b)
     return Batch(tuple(D.support[i] for i in idx), draw_seed=seed)
 
 

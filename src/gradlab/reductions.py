@@ -31,10 +31,10 @@ from .paradigms import (
     NoiseAdversary,
     PACMethod,
     QueryProgram,
-    RoundRecord,
     SQMethod,
     SQQuery,
     Transcript,
+    _QueryOracle,
     eval_method_error,
     parity_learner,
 )
@@ -109,15 +109,59 @@ class PipelineError(ValueError):
 # shared wrappers around query programs
 
 
-class _WrappedRun:
-    """Base run delegating predictor and bit accounting to the inner run."""
+@dataclass(eq=False)
+class _AdaptedProgram:
+    """A query program reshaped for another oracle.
 
-    def __init__(self, inner):
+    Every inner query becomes the `per_query` queries listed by
+    `split(query)`; once all of them are answered, `merge(responses)`
+    folds the answers into the one response the inner run receives.
+    """
+
+    inner: QueryProgram
+    per_query: int
+    arity: int
+    split: Callable[[SQQuery], list[SQQuery]]
+    merge: Callable[[list], Sequence[float]]
+    alternating: bool = False
+
+    @property
+    def rounds(self) -> int:
+        return self.inner.rounds * self.per_query
+
+    @property
+    def random_bits(self) -> int:
+        return self.inner.random_bits
+
+    def start(self, bits):
+        return _AdaptedRun(self, self.inner.start(bits))
+
+
+class _AdaptedRun:
+    def __init__(self, prog: _AdaptedProgram, inner):
+        self.prog = prog
         self.inner = inner
+        self.pending: list[SQQuery] | None = None
+        self.answers: list = []
 
     @property
     def bits_consumed(self) -> int:
         return int(getattr(self.inner, "bits_consumed", 0))
+
+    def next_query(self) -> SQQuery | None:
+        if self.pending is None:
+            base = self.inner.next_query()
+            if base is None:
+                return None
+            self.pending = self.prog.split(base)
+            self.answers = []
+        return self.pending[len(self.answers)]
+
+    def receive(self, response: Sequence[float]) -> None:
+        self.answers.append(response)
+        if len(self.answers) == len(self.pending):
+            self.inner.receive(self.prog.merge(self.answers))
+            self.pending = None
 
     def predictor(self):
         return self.inner.predictor()
@@ -144,55 +188,25 @@ def _coordinate_query(query: SQQuery, j: int) -> SQQuery:
                    name=f"{query.name}[{j}]")
 
 
-@dataclass(eq=False)
-class _RepeatProgram:
-    """Ask each scalar query q times in a row and feed back the average."""
-
-    inner: QueryProgram
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.inner.arity != 1:
-            raise ValueError("repeat-averaging wraps scalar-query programs")
-        if self.q <= 0:
-            raise ValueError("need q >= 1 repeats")
-
-    @property
-    def rounds(self) -> int:
-        return self.inner.rounds * self.q
-
-    arity = 1
-
-    @property
-    def random_bits(self) -> int:
-        return self.inner.random_bits
-
-    def start(self, bits):
-        return _RepeatRun(self.inner.start(bits), self.q)
+def _check_scalar(inner: QueryProgram, q: int, what: str) -> None:
+    if inner.arity != 1:
+        raise ValueError(f"{what} wraps scalar-query programs")
+    if q <= 0:
+        raise ValueError("need q >= 1 repeats")
 
 
-class _RepeatRun(_WrappedRun):
-    def __init__(self, inner, q: int):
-        super().__init__(inner)
-        self.q = q
-        self.current: SQQuery | None = None
-        self.buffer: list[float] = []
+def _repeat(inner: QueryProgram, q: int) -> _AdaptedProgram:
+    """Ask each scalar query q times in a row and feed back the average.
 
-    def next_query(self) -> SQQuery | None:
-        if self.current is None:
-            self.current = self.inner.next_query()
-            self.buffer = []
-        return self.current
-
-    def receive(self, response: Sequence[float]) -> None:
-        self.buffer.append(float(response[0]))
-        if len(self.buffer) == self.q:
-            self.inner.receive([float(np.mean(self.buffer))])
-            self.current = None
+    The repeats are one query object, so support caching applies.
+    """
+    _check_scalar(inner, q, "repeat-averaging")
+    return _AdaptedProgram(
+        inner, q, 1, split=lambda query: [query] * q,
+        merge=lambda answers: [float(np.mean([float(a[0]) for a in answers]))])
 
 
-@dataclass(eq=False)
-class _LabelSplitProgram:
+def _label_split(inner: QueryProgram, q: int = 1) -> _AdaptedProgram:
     """Replace each scalar query by alternating one-label halves.
 
     Round pairs ask y*phi on the odd slot and (1-y)*phi on the even
@@ -200,146 +214,49 @@ class _LabelSplitProgram:
     and returned to the wrapped program as its answer.  With q=1 this
     is the plain label split.
     """
+    _check_scalar(inner, q, "label splitting")
 
-    inner: QueryProgram
-    q: int = 1
+    def split(query: SQQuery) -> list[SQQuery]:
+        return [_label_scaled_query(query, 1),
+                _label_scaled_query(query, 0)] * q
 
-    def __post_init__(self) -> None:
-        if self.inner.arity != 1:
-            raise ValueError("label splitting wraps scalar-query programs")
-        if self.q <= 0:
-            raise ValueError("need q >= 1 repeats")
+    def merge(answers: list) -> list[float]:
+        ones = zeros = 0.0
+        for one, zero in zip(answers[::2], answers[1::2]):
+            ones += float(one[0])
+            zeros += float(zero[0])
+        return [(ones + zeros) / q]
 
-    alternating = True
-    arity = 1
-
-    @property
-    def rounds(self) -> int:
-        return self.inner.rounds * 2 * self.q
-
-    @property
-    def random_bits(self) -> int:
-        return self.inner.random_bits
-
-    def start(self, bits):
-        return _LabelSplitRun(self.inner.start(bits), self.q)
+    return _AdaptedProgram(inner, 2 * q, 1, split, merge, alternating=True)
 
 
-class _LabelSplitRun(_WrappedRun):
-    def __init__(self, inner, q: int):
-        super().__init__(inner)
-        self.q = q
-        self.halves: tuple[SQQuery, SQQuery] | None = None
-        self.emitted = 0
-        self.sums = [0.0, 0.0]
-
-    def next_query(self) -> SQQuery | None:
-        if self.halves is None:
-            base = self.inner.next_query()
-            if base is None:
-                return None
-            self.halves = (_label_scaled_query(base, 1),
-                           _label_scaled_query(base, 0))
-            self.emitted = 0
-            self.sums = [0.0, 0.0]
-        return self.halves[self.emitted % 2]
-
-    def receive(self, response: Sequence[float]) -> None:
-        self.sums[self.emitted % 2] += float(response[0])
-        self.emitted += 1
-        if self.emitted == 2 * self.q:
-            self.inner.receive([(self.sums[0] + self.sums[1]) / self.q])
-            self.halves = None
-
-
-@dataclass(eq=False)
-class _ScalarizeProgram:
+def _scalarize(inner: QueryProgram, grid: float | None) -> _AdaptedProgram:
     """Ask a vector program's queries one coordinate at a time.
 
     Optionally snaps each reassembled response vector onto a grid
     before handing it back, so the wrapped method only ever sees a
     bounded number of distinct transcripts.
     """
+    width = inner.arity
 
-    inner: QueryProgram
-    grid: float | None = None
+    def merge(answers: list) -> np.ndarray:
+        vector = np.asarray([float(a[0]) for a in answers])
+        if grid is not None:
+            vector = round_nearest_multiple(vector, grid)
+        return vector
 
-    arity = 1
-
-    @property
-    def rounds(self) -> int:
-        return self.inner.rounds * self.inner.arity
-
-    @property
-    def random_bits(self) -> int:
-        return self.inner.random_bits
-
-    def start(self, bits):
-        return _ScalarizeRun(self.inner.start(bits), self.inner.arity,
-                             self.grid)
+    return _AdaptedProgram(
+        inner, width, 1,
+        split=lambda query: [_coordinate_query(query, j) for j in range(width)],
+        merge=merge)
 
 
-class _ScalarizeRun(_WrappedRun):
-    def __init__(self, inner, width: int, grid: float | None):
-        super().__init__(inner)
-        self.width = width
-        self.grid = grid
-        self.current: SQQuery | None = None
-        self.collected: list[float] = []
-
-    def next_query(self) -> SQQuery | None:
-        if self.current is None:
-            self.current = self.inner.next_query()
-            self.collected = []
-        if self.current is None:
-            return None
-        return _coordinate_query(self.current, len(self.collected))
-
-    def receive(self, response: Sequence[float]) -> None:
-        self.collected.append(float(response[0]))
-        if len(self.collected) == self.width:
-            vector = np.asarray(self.collected)
-            if self.grid is not None:
-                vector = round_nearest_multiple(vector, self.grid)
-            self.inner.receive(vector)
-            self.current = None
-
-
-@dataclass(eq=False)
-class _SnapProgram:
+def _snap(inner: QueryProgram, grid: float) -> _AdaptedProgram:
     """Pass queries through; snap every response onto a grid."""
-
-    inner: QueryProgram
-    grid: float
-
-    @property
-    def rounds(self) -> int:
-        return self.inner.rounds
-
-    @property
-    def arity(self) -> int:
-        return self.inner.arity
-
-    @property
-    def random_bits(self) -> int:
-        return self.inner.random_bits
-
-    def start(self, bits):
-        return _SnapRun(self.inner.start(bits), self.grid)
-
-
-class _SnapRun(_WrappedRun):
-    def __init__(self, inner, grid: float):
-        super().__init__(inner)
-        self.grid = grid
-
-    def next_query(self) -> SQQuery | None:
-        return self.inner.next_query()
-
-    def receive(self, response: Sequence[float]) -> None:
-        snapped = round_nearest_multiple(np.asarray(response, dtype=float),
-                                         self.grid)
-        self.inner.receive(snapped)
+    return _AdaptedProgram(
+        inner, 1, inner.arity, split=lambda query: [query],
+        merge=lambda answers: round_nearest_multiple(
+            np.asarray(answers[0], dtype=float), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +331,11 @@ def sq_to_bsq(sq: SQMethod, b: int, delta: float, *,
     """Answer population queries by averaging repeated batch queries."""
     q = repeat_count(sq.k, b, sq.tau, delta, alternating=alternating)
     if alternating:
-        program: QueryProgram = _LabelSplitProgram(sq.program, q)
+        program = _label_split(sq.program, q)
         tau = sq.tau / 4
         rounds = 2 * sq.k * q
     else:
-        program = _RepeatProgram(sq.program, q)
+        program = _repeat(sq.program, q)
         tau = sq.tau / 2
         rounds = sq.k * q
     return BSQMethod(k=rounds, tau=tau, b=b, p=1, r=sq.r, program=program,
@@ -438,14 +355,14 @@ def bsq_to_sq(bsq: BSQMethod, delta: float) -> SQMethod:
             f"population answers need b*tau^2 >= {needed:.3g}, "
             f"got {bsq.b * bsq.tau ** 2:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
-    program = _ScalarizeProgram(bsq.program, grid=None)
+    program = _scalarize(bsq.program, grid=None)
     return SQMethod(k=bsq.k * bsq.p, tau=bsq.tau / 2, r=bsq.r,
                     program=program, name=f"sq[{bsq.name}]")
 
 
 def sq_split_alternating(sq: SQMethod) -> SQMethod:
     """Split every query into one-label halves on alternating rounds."""
-    program = _LabelSplitProgram(sq.program, q=1)
+    program = _label_split(sq.program, q=1)
     return SQMethod(k=2 * sq.k, tau=sq.tau / 2, r=sq.r, program=program,
                     name=f"{sq.name}-split")
 
@@ -466,7 +383,7 @@ def sq_to_fbsq(sq: SQMethod, m: int, delta: float) -> FBSQMethod:
             f"frozen-batch answers need m*tau^2 >= {needed:.3g}, "
             f"got {m * tau * tau:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
-    program = _SnapProgram(sq.program, grid=tau / 2)
+    program = _snap(sq.program, grid=tau / 2)
     return FBSQMethod(k=sq.k, tau=tau / 2, m=m, p=1, r=sq.r,
                       program=program, name=f"fbsq[{sq.name}]")
 
@@ -486,7 +403,7 @@ def fbsq_to_sq(fbsq: FBSQMethod, delta: float) -> SQMethod:
             f"population answers need m*tau^2 >= {needed:.3g}, "
             f"got {fbsq.m * tau * tau:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
-    program = _ScalarizeProgram(fbsq.program, grid=tau / 2)
+    program = _scalarize(fbsq.program, grid=tau / 2)
     return SQMethod(k=fbsq.k * fbsq.p, tau=tau / 2, r=fbsq.r,
                     program=program, name=f"sq[{fbsq.name}]")
 
@@ -583,7 +500,7 @@ def decode_examples(D: FiniteDistribution,
         raise ValueError(f"code {err} not in the support") from None
 
 
-class ReplayOracle:
+class ReplayOracle(_QueryOracle):
     """Answers queries against batches replayed from a recorded run.
 
     Feeding it the batch codes of an earlier transcript makes two
@@ -591,44 +508,25 @@ class ReplayOracle:
     turns distributional comparisons into exact ones.
     """
 
+    kind = "replay"
+
     def __init__(self, D: FiniteDistribution,
                  batch_code_rounds: Sequence[Sequence[int]], tau: float,
                  adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
                  seed: int = 0, record: bool = True):
         self.batches = [decode_examples(D, codes)
                         for codes in batch_code_rounds]
-        self.tau = float(tau)
-        self.adversary = adversary
-        self._rng = np.random.default_rng(seed)
-        self.record = record
+        super().__init__(tau, adversary, seed, record)
         self.transcript = Transcript(
-            meta={"kind": "replay", "tau": self.tau,
+            meta={"kind": self.kind, "tau": self.tau,
                   "rounds_available": len(self.batches)})
-        self.rounds = 0
 
-    def ask(self, query: SQQuery) -> np.ndarray:
+    def _rows(self, query: SQQuery):
         if self.rounds >= len(self.batches):
             raise RuntimeError("replay oracle ran out of recorded batches")
         items = self.batches[self.rounds]
         vals = np.stack([query.evaluate(ex) for ex in items])
-        mean = vals.mean(axis=0)
-        if self.adversary is NoiseAdversary.ZERO_NOISE:
-            response = mean.copy()
-        elif self.adversary is NoiseAdversary.PLUS_TAU:
-            response = np.clip(mean + self.tau, -1.0, 1.0)
-        elif self.adversary is NoiseAdversary.MINUS_TAU:
-            response = np.clip(mean - self.tau, -1.0, 1.0)
-        else:
-            response = np.clip(
-                mean + self._rng.uniform(-self.tau, self.tau, mean.shape),
-                -1.0, 1.0)
-        self.rounds += 1
-        if self.record:
-            self.transcript.append(RoundRecord(
-                index=self.rounds, kind="replay", response=response.copy(),
-                exact_mean=mean.copy(),
-                batch_codes=[ex.joint_code() for ex in items]))
-        return response
+        return vals, vals.mean(axis=0), [ex.joint_code() for ex in items]
 
 
 def population_violation_rate(D: FiniteDistribution, query: SQQuery, b: int,
@@ -647,9 +545,7 @@ def population_violation_rate(D: FiniteDistribution, query: SQQuery, b: int,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C1]))
     violations = 0
     for _ in range(trials):
-        idx = np.searchsorted(D.cdf, rng.random(b), side="right")
-        idx = np.minimum(idx, len(D.support) - 1)
-        batch_mean = vals[idx].mean(axis=0)
+        batch_mean = vals[D.draw_indices(rng, b)].mean(axis=0)
         if np.max(np.abs(candidate - batch_mean)) > tau + 1e-12:
             violations += 1
     return violations / trials

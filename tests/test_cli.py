@@ -10,9 +10,20 @@ from gradlab.cli import (
     run_experiment,
     verify_transcript,
 )
-from gradlab.paradigms import BSQOracle, SQQuery
-from gradlab.problems import Example, FiniteDistribution, save_distribution
-from gradlab.reductions import build_pipeline
+from gradlab.paradigms import (
+    BSQOracle,
+    FBSQOracle,
+    NoiseAdversary,
+    SQOracle,
+    SQQuery,
+)
+from gradlab.problems import (
+    Example,
+    FiniteDistribution,
+    sample_batch,
+    save_distribution,
+)
+from gradlab.reductions import ReplayOracle, build_pipeline
 
 
 def four_point(n: int = 4) -> FiniteDistribution:
@@ -213,17 +224,6 @@ class TestDeterminism:
             blobs.append((tmp_path / tag / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_threads_byte_identical(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(experiment="RegimeSweep", trials=80,
-                               out=str(tmp_path / "serial"))
-        run_experiment(cfg)
-        monkeypatch.setenv("LAB_THREADS", "4")
-        cfg2 = ExperimentConfig(experiment="RegimeSweep", trials=80,
-                                out=str(tmp_path / "pooled"))
-        run_experiment(cfg2)
-        assert (tmp_path / "serial" / "results.csv").read_bytes() \
-            == (tmp_path / "pooled" / "results.csv").read_bytes()
-
     def test_log_carries_no_timestamps(self, tmp_path):
         run_config(tmp_path, "RegimeSweep", 40)
         log = (tmp_path / "out" / "run.log").read_text()
@@ -286,6 +286,33 @@ class TestVerify:
         assert report.flagged == 1
         flagged = [v for v in report.verdicts if not v.ok]
         assert flagged[0].index == 3
+
+    @pytest.mark.parametrize("kind", ["sq", "fbsq", "replay"])
+    def test_other_query_kinds(self, kind, tmp_path):
+        D = four_point(4)
+        if kind == "sq":
+            oracle = SQOracle(D, tau=0.25, adversary=NoiseAdversary.PLUS_TAU)
+        elif kind == "fbsq":
+            oracle = FBSQOracle(sample_batch(D, 4, seed=1), tau=0.25,
+                                adversary=NoiseAdversary.SEEDED_RANDOM, seed=1)
+        else:
+            codes = [[int(c) for c in D.joint_codes]] * 3
+            oracle = ReplayOracle(D, codes, tau=0.25,
+                                  adversary=NoiseAdversary.MINUS_TAU)
+        query = SQQuery(arity=2,
+                        evaluator=lambda ex: (float(ex.y), float(ex.x[0])))
+        for _ in range(3):
+            oracle.ask(query)
+        good = tmp_path / "good.jsonl"
+        oracle.transcript.to_jsonl(good)
+        report = verify_transcript(good)
+        assert report.ok and report.kind == kind
+        assert len(report.verdicts) == 3
+
+        bad = tmp_path / "bad.jsonl"
+        perturb_round(good, bad, 2, 1.0)
+        report = verify_transcript(bad)
+        assert [v.index for v in report.verdicts if not v.ok] == [2]
 
     def test_gradient_trajectory_passes(self, gradient_transcript):
         report = verify_transcript(gradient_transcript)

@@ -575,6 +575,17 @@ class TestReplayOracle:
         got = up.ask(label_query())
         assert got[0] == pytest.approx(0.5 + 1 / 8)
 
+    def test_range_edge_clipped_like_live_oracle(self):
+        # queries may overshoot 1 by up to 1e-12; every oracle clips the answer
+        D = four_point()
+        edge = SQQuery(1, lambda ex: [1 + 5e-13], name="edge")
+        live = BSQOracle(D, b=4, tau=1 / 8, seed=2)
+        want = live.ask(edge)
+        codes = [live.transcript.records[0].batch_codes]
+        got = ReplayOracle(D, codes, tau=1 / 8).ask(edge)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == 1.0
+
     def test_decode_rejects_unknown_codes(self):
         D = four_point()
         with pytest.raises(ValueError, match="not in the support"):
