@@ -91,7 +91,7 @@ def _queries() -> list[SQQuery]:
     return [scalar, vector, one, vector, scalar]
 
 
-def _ask_all(oracle, path) -> list[bytes]:
+def _ask_all(oracle, path) -> list[bytes | str]:
     out = []
     for q in _queries():
         out.append(np.asarray(oracle.ask(q)).tobytes())
@@ -102,7 +102,7 @@ def _ask_all(oracle, path) -> list[bytes]:
     return out
 
 
-def _oracle_chunks(kind: str, path) -> list[bytes]:
+def _oracle_chunks(kind: str, path) -> list[bytes | str]:
     D = _dist()
     chunks = []
     for seed in SEEDS:
@@ -193,7 +193,7 @@ def _wrapped(path_name: str):
     return fbsq_to_sq(fbsq, delta=0.5)
 
 
-def _wrapper_chunks(path_name: str, path) -> list[bytes]:
+def _wrapper_chunks(path_name: str, path) -> list[bytes | str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         method = _wrapped(path_name)
