@@ -29,6 +29,7 @@ from .paradigms import (
     DiffModel,
     LabelRestriction,
     MethodRun,
+    PadTail,
     QueryProgram,
     SQQuery,
     run_bsgd,
@@ -240,6 +241,12 @@ class _ProgramCursor:
         self.pending = None
         self.fetched = False
 
+    def skip_finished(self, upto: int) -> None:
+        """Feed the pad rounds of a finished run up to round `upto`."""
+        self.fed = upto
+        self.pending = None
+        self.fetched = False
+
     def predictor(self):
         if self._predictor is None:
             self._predictor = self.run.predictor()
@@ -310,6 +317,13 @@ class _CompiledCore:
                     return i
                 if here >= rho:
                     i += 1
+                    if i <= T and w[lay.r + stride * i - 1] >= rho:
+                        # several clocks fired since the last call (a pad
+                        # pass): pass over all of them in one search
+                        clocks = w[lay.r + stride * i - 1:
+                                   lay.r + stride * T:stride]
+                        unfired = np.flatnonzero(~(clocks >= rho))
+                        i += int(unfired[0]) if unfired.size else T + 1 - i
                     continue
                 raise ClockRegionError(
                     f"clock value {here} in the dead zone ({half}, {rho})")
@@ -337,7 +351,7 @@ class _CompiledCore:
     # -- program replay
 
     def bits_of(self, w: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(round(v)) for v in w[:self.layout.r])
+        return tuple(map(round, w[:self.layout.r].tolist()))
 
     def invalidate(self) -> None:
         self._cursor = None
@@ -358,15 +372,41 @@ class _CompiledCore:
             if not self.strict:
                 self._cursor = cur
         while cur.fed < upto:
+            if cur.finished:
+                self._skip_pads(cur, w, upto)
+                break
             t = cur.fed + 1
             cur.feed(t, self._snapped_block(w, t))
         return cur
+
+    def _skip_pads(self, cur: _ProgramCursor, w: np.ndarray,
+                   upto: int) -> None:
+        """Feed a finished cursor its pad blocks up to `upto` at once.
+
+        Untouched blocks need no snap; touched ones still go through
+        snap_responses in round order, so the first one that drifted
+        raises as it would fed one by one.
+        """
+        lay = self.layout
+        stride = lay.p + 1
+        blocks = w[lay.start(cur.fed + 1):lay.r + stride * upto]
+        blocks = blocks.reshape(-1, stride)[:, :lay.p]
+        for row in np.flatnonzero(blocks.any(axis=1)):
+            snap_responses(blocks[row], self.rho)
+        cur.skip_finished(upto)
 
     def query_for(self, w: np.ndarray, t: int) -> SQQuery | None:
         q = self._cursor_for(w, t - 1).query(t)
         if q is None and not self.strict and self._finished_at is None:
             self._finished_at = t
         return q
+
+    def _round_query(self, w: np.ndarray, t: int) -> SQQuery | None:
+        """Round-t query; None for pad rounds past a known finish."""
+        fin = self._finished_at
+        if fin is not None and t >= fin:
+            return None
+        return self.query_for(w, t)
 
     def final_predictor(self, w: np.ndarray):
         return self._cursor_for(w, self.layout.T).predictor()
@@ -387,11 +427,7 @@ class _CompiledCore:
         lay = self.layout
         if i == lay.T + 1:
             return float(self.final_predictor(w)(x))
-        fin = self._finished_at
-        if fin is not None and i >= fin:
-            q = None
-        else:
-            q = self.query_for(w, i)
+        q = self._round_query(w, i)
         kap = float(w[lay.kappa_index(i)])
         odd = i % 2 == 1
         inner = 0.0
@@ -402,6 +438,42 @@ class _CompiledCore:
             return inner + kap - self.eps
         return 1.0 - inner - kap + self.eps
 
+    def pad_tail(self, w: np.ndarray, loss: SquareLoss) -> PadTail | None:
+        """Closed form of the pad rounds from the active one on.
+
+        Past the program's finish a round's gradient is its clock's
+        alone, a function of that clock and the label.  Rounds after
+        the active one stay pad rounds while their clock and the next
+        one are cold, which is what `active_round` checks on the way;
+        the tail stops before the first round that would fail it.  The
+        closed form applies the square loss's derivative to arrays, so
+        other losses get None and train per example.
+        """
+        fin = self._finished_at
+        if fin is None or type(loss) is not SquareLoss:
+            return None
+        i = self.active_round(w)
+        lay = self.layout
+        if not fin <= i <= lay.T:
+            return None
+        half = 0.5 * self.rho
+        coords = np.arange(lay.kappa_index(i), lay.dim, lay.p + 1)
+        kap = w[coords]
+        ok = kap <= half
+        ok[:-1] &= ~(kap[1:] > half)
+        ok[0] = True
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            coords, kap = coords[:bad[0]], kap[:bad[0]]
+        odd = (i + np.arange(len(coords))) % 2 == 1
+        f = np.where(odd, kap - self.eps, 1.0 - kap + self.eps)
+
+        def clipped(y: float) -> np.ndarray:
+            d = loss.derivative(f, y)
+            return np.clip(np.where(odd, d, -d), -1.0, 1.0)
+
+        return PadTail(coords, clipped(0.0), clipped(1.0), self.rho)
+
     def gradient(self, w: np.ndarray, ex: Example,
                  loss: SquareLoss) -> dict[int, float]:
         i = self.active_round(w)
@@ -410,20 +482,13 @@ class _CompiledCore:
             return {}
         kidx = lay.r + (lay.p + 1) * i - 1
         kap = float(w[kidx])
-        fin = self._finished_at
-        if fin is not None and i >= fin:
-            # past the program's early finish: pure clock-advancing pad
-            if i % 2 == 1:
-                return {kidx: loss.derivative(kap - self.eps, float(ex.y))}
-            return {kidx: -loss.derivative(1.0 - kap + self.eps,
-                                           float(ex.y))}
-        q = self.query_for(w, i)
+        q = self._round_query(w, i)
         odd = i % 2 == 1
         sign = 1.0 if odd else -1.0
         if q is None:
+            # past the program's finish: a pure clock-advancing pad round
             f = kap - self.eps if odd else 1.0 - kap + self.eps
-            lp = loss.derivative(f, float(ex.y))
-            return {kidx: lp * sign}
+            return {kidx: loss.derivative(f, float(ex.y)) * sign}
         feats = q.evaluate(Example(ex.x, 1 if odd else 0))
         inner = float(feats @ lay.theta(w, i))
         f = inner + kap - self.eps if odd else 1.0 - inner - kap + self.eps
@@ -465,6 +530,7 @@ def compile_program(prog: QueryProgram, rho: float,
         value=core.value,
         loss_gradient=core.gradient,
         name=f"compiled[{getattr(prog, 'name', '') or 'program'}]",
+        pad_tail=None if strict else core.pad_tail,
     )
 
 
@@ -510,6 +576,31 @@ class TrajectoryAudit:
         return not self.violations
 
 
+class _PadLog:
+    """Pad rounds recorded by the auditor, awaiting their checks.
+
+    `base` holds the parameters as they stood before the first logged
+    round.  A compiled pad round writes only its own clock, so a logged
+    round's block is `base`'s, changed only by writes that logged
+    responses made elsewhere; those few are kept with the value they
+    left behind.
+    """
+
+    def __init__(self, base: np.ndarray, first: int):
+        self.base = base
+        self.first = first
+        self.kappas: list[float] = []
+        self.writes: list[tuple[int, list[tuple[int, float | None]]]] = []
+
+    def note_writes(self, i: int, response, top: int, w: np.ndarray) -> None:
+        if not isinstance(response, dict):
+            response = {j: float(v) for j, v in enumerate(response)}
+        writes = [(idx, float(w[idx]) if 0 <= idx < len(w) else None)
+                  for idx, v in response.items() if v != 0.0 and idx != top]
+        if writes:
+            self.writes.append((i, writes))
+
+
 class TrajectoryAuditor:
     """Replays the program alongside training and checks every claim.
 
@@ -520,6 +611,11 @@ class TrajectoryAuditor:
     query; the active clock must have fired to at least rho; recorded
     responses must lie on the response grid.  The final round triggers
     a full parameter sweep against per-round block snapshots.
+
+    Rounds after the program has finished are pad rounds.  The hook
+    only records them (clock, heavy-label count, any write away from
+    the clock) and checks them all in one pass at the final round, or
+    whenever `audit` is read, with the same findings in the same order.
     """
 
     def __init__(self, prog: QueryProgram, rho: float):
@@ -528,27 +624,57 @@ class TrajectoryAuditor:
         self.eps = 2.0 * self.rho
         self.layout = _Layout(r=prog.random_bits, p=prog.arity,
                               T=prog.rounds)
-        self.audit = TrajectoryAudit(rho=self.rho)
+        self._audit = TrajectoryAudit(rho=self.rho)
         self._cursor: _ProgramCursor | None = None
         self._blocks: dict[int, tuple[np.ndarray, float] | None] = {}
+        self._pad_blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._pads: _PadLog | None = None
         self._bits: tuple[float, ...] | None = None
         self._finished = False
 
+    @property
+    def audit(self) -> TrajectoryAudit:
+        """Findings so far, with every recorded pad round checked."""
+        self._check_pads()
+        return self._audit
+
     def _flag(self, message: str) -> None:
-        self.audit.violations.append(message)
+        self._audit.violations.append(message)
 
     def hook(self, info: BSGDRoundInfo) -> None:
         lay = self.layout
         i = info.index
         w = info.w
+        audit = self._audit
         if i == 1:
-            self._bits = tuple(float(v) for v in w[:lay.r])
+            self._check_pads()
+            self._bits = tuple(w[:lay.r].tolist())
             self._cursor = _ProgramCursor(
-                self.prog, tuple(int(round(v)) for v in self._bits))
+                self.prog, tuple(map(round, self._bits)))
             self._blocks = {}
+            self._pad_blocks = []
+            self._pads = None
             self._finished = False
-            self.audit.trials += 1
-        self.audit.rounds += 1
+            audit.trials += 1
+        audit.rounds += 1
+        # pre-update output is constant in x, so the per-example loss slope
+        # hits 1 + eps exactly on the off-label examples of the round
+        heavy = [ex.y for ex in info.batch].count(i % 2)
+        log = self._pads
+        if log is not None and i == log.first + len(log.kappas):
+            top = lay.r + (lay.p + 1) * i - 1
+            log.kappas.append(float(w[top]))
+            response = info.response
+            if (type(response) is not dict or len(response) != 1
+                    or top not in response):
+                log.note_writes(i, response, top, w)
+            audit.pad_rounds += 1
+            audit.clip_activations += heavy
+            if i == lay.T:
+                self._check_pads()
+                self._final_sweep(w)
+            return
+        self._check_pads()
         base = lay.start(i)
         top = base + lay.p
         response = info.response
@@ -571,43 +697,103 @@ class TrajectoryAuditor:
                 self._finished = True
         touched = bool(theta.any())
         if query is None:
-            self.audit.pad_rounds += 1
+            audit.pad_rounds += 1
             gap = float(np.max(np.abs(theta))) if touched else 0.0
         else:
-            self.audit.active_rounds += 1
+            audit.active_rounds += 1
             vals = [query.evaluate(ex) for ex in info.batch]
             avg = np.mean(vals, axis=0) if vals else np.zeros(lay.p)
             gap = float(np.max(np.abs(theta - avg))) if lay.p else 0.0
-        self.audit.max_response_gap = max(self.audit.max_response_gap, gap)
+        audit.max_response_gap = max(audit.max_response_gap, gap)
         if gap > 3.0 * self.rho + 1e-12:
             self._flag(f"round {i} response sits {gap:.3g} from the batch "
                        f"average, above 3*rho = {3 * self.rho}")
-        if kappa < self.audit.min_clock_after_fire:
-            self.audit.min_clock_after_fire = kappa
+        if kappa < audit.min_clock_after_fire:
+            audit.min_clock_after_fire = kappa
         if kappa < self.rho:
             self._flag(f"round {i} clock reached only {kappa}, below rho")
         if touched:
             snapped = round_nearest_multiple(theta, self.rho)
             drift = float(np.max(np.abs(theta - snapped))) if lay.p else 0.0
-            if drift > self.audit.max_snap_distance:
-                self.audit.max_snap_distance = drift
+            if drift > audit.max_snap_distance:
+                audit.max_snap_distance = drift
             self._blocks[i] = (theta.copy(), kappa)
         else:
             snapped = None
             self._blocks[i] = (None, kappa)
-        # pre-update output is constant in x, so the per-example loss slope
-        # hits 1 + eps exactly on the off-label examples of the round
-        heavy_label = 0 if i % 2 == 0 else 1
-        self.audit.clip_activations += sum(
-            1 for ex in info.batch if ex.y == heavy_label)
+        audit.clip_activations += heavy
         if query is not None:
             self._cursor.feed(
                 i, snapped if snapped is not None else np.zeros(lay.p))
+        elif i < lay.T:
+            self._pads = _PadLog(w.copy(), i + 1)
         if i == lay.T:
             self._final_sweep(w)
 
+    def _check_pads(self) -> None:
+        """Run the per-round checks on every logged pad round at once."""
+        log = self._pads
+        if log is None or not log.kappas:
+            return
+        lay = self.layout
+        p, stride = lay.p, lay.p + 1
+        first, k = log.first, len(log.kappas)
+        found = []
+        theta = log.base[lay.start(first):lay.start(first) + stride * k]
+        theta = theta.reshape(k, stride)[:, :p].copy()
+        for t, writes in log.writes:
+            base = lay.start(t)
+            top = base + p
+            for idx, after in writes:
+                if not base <= idx <= top:
+                    found.append((t, 0, f"round {t} wrote parameter {idx} "
+                                        f"outside its block [{base}, {top}]"))
+                if after is None:
+                    continue
+                log.base[idx] = after
+                block, col = divmod(idx - lay.r, stride)
+                row = block + 1 - first
+                if idx >= lay.r and col < p and t - first <= row < k:
+                    theta[row, col] = after
+        kappa = np.array(log.kappas)
+        gap = np.zeros(k)
+        drift = np.zeros(k)
+        touched = np.flatnonzero(theta.any(axis=1))
+        if touched.size:
+            blocks = theta[touched]
+            gap[touched] = np.abs(blocks).max(axis=1)
+            drift[touched] = np.abs(
+                blocks - round_nearest_multiple(blocks, self.rho)).max(axis=1)
+        audit = self._audit
+        # NaN never wins a comparison, as in the per-round updates
+        top_gap = gap[gap == gap]
+        if top_gap.size and top_gap.max() > audit.max_response_gap:
+            audit.max_response_gap = float(top_gap.max())
+        top_drift = drift[drift == drift]
+        if top_drift.size and top_drift.max() > audit.max_snap_distance:
+            audit.max_snap_distance = float(top_drift.max())
+        low = int(np.argmin(np.where(kappa == kappa, kappa, np.inf)))
+        if kappa[low] < audit.min_clock_after_fire:
+            audit.min_clock_after_fire = log.kappas[low]
+        for row in np.flatnonzero(gap > 3.0 * self.rho + 1e-12).tolist():
+            found.append((first + row, 1,
+                          f"round {first + row} response sits "
+                          f"{float(gap[row]):.3g} from the batch average, "
+                          f"above 3*rho = {3 * self.rho}"))
+        for row in np.flatnonzero(kappa < self.rho).tolist():
+            found.append((first + row, 2,
+                          f"round {first + row} clock reached only "
+                          f"{log.kappas[row]}, below rho"))
+        found.sort(key=lambda f: f[:2])
+        audit.violations.extend(f[2] for f in found)
+        self._pad_blocks.append((first, theta, kappa))
+        log.first += k
+        log.kappas = []
+        log.writes = []
+
     def _final_sweep(self, w: np.ndarray) -> None:
         lay = self.layout
+        stride = lay.p + 1
         expect = np.zeros(lay.dim)
         expect[:lay.r] = self._bits
         for t, (theta, kappa) in self._blocks.items():
@@ -615,17 +801,23 @@ class TrajectoryAuditor:
                 s = lay.start(t)
                 expect[s:s + lay.p] = theta
             expect[lay.kappa_index(t)] = kappa
+        for first, theta, kappa in self._pad_blocks:
+            s = lay.start(first)
+            view = expect[s:s + stride * len(kappa)].reshape(-1, stride)
+            view[:, :lay.p] = theta
+            view[:, lay.p] = kappa
         mismatch = np.flatnonzero(np.abs(w - expect) > 1e-12)
         for idx in mismatch[:8]:
             self._flag(f"parameter {int(idx)} ended at {w[idx]!r}, expected "
                        f"{expect[idx]!r}: some round touched a frozen block")
 
     def check(self) -> TrajectoryAudit:
-        if self.audit.violations:
+        audit = self.audit
+        if audit.violations:
             raise TrajectoryError(
                 "trajectory claims failed:\n  "
-                + "\n  ".join(self.audit.violations[:12]))
-        return self.audit
+                + "\n  ".join(audit.violations[:12]))
+        return audit
 
 
 def train_audited(model: DiffModel, prog: QueryProgram,

@@ -288,7 +288,7 @@ class _BitCursor:
     """
 
     def __init__(self, bits: Sequence[int]):
-        self._bits = tuple(int(v) for v in bits)
+        self._bits = tuple(map(int, bits))
         self._pos = 0
         self._overflow: BitStream | None = None
         self.overflow_consumed = 0
@@ -362,7 +362,7 @@ class ExtractionProgram:
             fixed_batch=self.fixed_batch, name=self.name + "-alternating")
 
     def start(self, bits: tuple[int, ...]) -> "_ExtractionRun":
-        return _ExtractionRun(self, tuple(int(v) for v in bits))
+        return _ExtractionRun(self, tuple(map(int, bits)))
 
 
 class _ExtractionRun:

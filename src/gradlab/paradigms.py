@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .numerics import (
     RoundingOracle,
-    RoundingStrategy,
     clip1,
     grid_exponent,
     round_approximate,
@@ -59,6 +58,7 @@ __all__ = [
     "bsq_oracle_answer",
     "fbsq_oracle_answer",
     "DiffModel",
+    "PadTail",
     "ModelSnapshot",
     "run_bsgd",
     "run_fbgd",
@@ -433,6 +433,23 @@ def fbsq_oracle_answer(batch: Batch, query: SQQuery, tau: float,
 # Differentiable models and gradient runners
 
 
+@dataclass(frozen=True)
+class PadTail:
+    """Closed form of the rounds a model will spend only advancing clocks.
+
+    Round j of the tail (counted from the model's active round) writes
+    one coordinate, `coords[j]`, and every example's clipped gradient
+    there is `grad0[j]` or `grad1[j]` by its label.  The tail holds only
+    while each step leaves its coordinate at or above `fire`: a round
+    that does not is the last one the tail covers.
+    """
+
+    coords: np.ndarray
+    grad0: np.ndarray
+    grad1: np.ndarray
+    fire: float
+
+
 @dataclass(eq=False)
 class DiffModel:
     """A parametric model exposing value and per-example loss gradients.
@@ -442,6 +459,11 @@ class DiffModel:
     Sparse returns are reserved for models that can certify the
     missing coordinates vanish identically, so a valid rounding of them
     is forced to zero and dense and sparse training coincide.
+
+    pad_tail, when given, maps (w, loss) to the PadTail starting at the
+    active round, or None when that round needs per-example gradients;
+    the runners then take the whole tail in one pass, with the same
+    result as clipping and summing every example of every round.
     """
 
     dim: int
@@ -450,6 +472,7 @@ class DiffModel:
     value: Callable[[np.ndarray, tuple[int, ...]], float]
     loss_gradient: Callable[[np.ndarray, Example, SquareLoss], object]
     name: str = ""
+    pad_tail: Callable[[np.ndarray, SquareLoss], PadTail | None] | None = None
 
 
 @dataclass(eq=False)
@@ -479,7 +502,7 @@ class BSGDRoundInfo:
 
 def _draw_init_bits(seed: int, r: int) -> tuple[int, ...]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1B17]))
-    return tuple(int(v) for v in rng.integers(0, 2, size=r))
+    return tuple(rng.integers(0, 2, size=r).tolist())
 
 
 def _clipped_gradient(model: DiffModel, w: np.ndarray, ex: Example,
@@ -495,14 +518,6 @@ def _round_sparse(avg: dict[int, float], rho: float,
                   rounding: RoundingOracle) -> dict[int, float]:
     if not avg:
         return {}
-    if len(avg) == 1 and rounding.strategy is RoundingStrategy.NEAREST:
-        # scalar shortcut, bit-identical to the vector path
-        (i, v), = avg.items()
-        s = v / rho
-        if s == 0.0:
-            return {i: 0.0}
-        q = math.floor(abs(s) + 0.5)
-        return {i: q * rho if s > 0 else -q * rho}
     idx = sorted(avg)
     vals = np.array([avg[i] for i in idx], dtype=float)
     rounded = round_approximate(vals, rho, rounding)
@@ -536,11 +551,47 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
     return avg, response
 
 
-def _run_gradient_method(model: DiffModel, batches, T: int, rho: float,
-                         gamma: float, rounding: RoundingOracle, seed: int,
-                         kind: str, b: int, record: bool, record_items: bool,
+_PAD_SLICE = 1024
+
+
+def _pad_pass(tail: PadTail, rows: np.ndarray, labels: np.ndarray,
+              w: np.ndarray, rho: float, gamma: float,
+              rounding: RoundingOracle):
+    """Every round of a pad tail at once, as the per-example loop does it.
+
+    Each round's clipped gradients are summed in batch order, averaged
+    and rounded (entrywise, so one call covers all rounds); the pass
+    ends after the first round that leaves its clock unfired.  Returns
+    (grads, avg, response, after) for the rounds it covers, `after`
+    being each written coordinate's value once its round has stepped.
+    """
+    k, b = rows.shape
+    grads = np.where(labels[rows] == 1, tail.grad1[:k, None],
+                     tail.grad0[:k, None])
+    acc = grads[:, 0].copy()
+    for j in range(1, b):
+        acc += grads[:, j]
+    avg = acc / b
+    response = round_approximate(avg, rho, rounding)
+    before = w[tail.coords[:k]]
+    after = np.where(response != 0.0, before - gamma * response, before)
+    unfired = np.flatnonzero(~(after >= tail.fire))
+    n = int(unfired[0]) + 1 if unfired.size else k
+    return grads[:n], avg[:n], response[:n], after[:n]
+
+
+def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
+                         T: int, rho: float, gamma: float,
+                         rounding: RoundingOracle, seed: int, kind: str,
+                         b: int, record: bool, record_items: bool,
                          record_hashes: bool, loss: SquareLoss,
                          hook) -> "MethodRun":
+    """Shared loop of run_bsgd and run_fbgd.
+
+    `draw(k)` returns the next k batches as a (k, b) array of indices
+    into `pool`.  Rounds the model can state in closed form (its
+    `pad_tail`) take one pass; every other round clips per example.
+    """
     grid_exponent(rho)
     bits = _draw_init_bits(seed, model.random_bits)
     w = np.array(model.init(bits), dtype=float)
@@ -551,13 +602,20 @@ def _run_gradient_method(model: DiffModel, batches, T: int, rho: float,
         "seed": seed, "dim": model.dim, "model": model.name,
         "strategy": rounding.strategy.value,
     })
-    for t in range(1, T + 1):
-        items = batches(t)
-        if record and record_items:
-            item_grads = [_clipped_gradient(model, w, ex, loss) for ex in items]
-        else:
-            item_grads = None
-        avg, response = _gradient_step(model, w, items, rho, gamma, rounding, loss)
+    ahead = np.empty((0, b), dtype=np.intp)
+    labels = None
+
+    def take(k: int) -> np.ndarray:
+        # a pad pass draws all its batches up front; rounds it did not
+        # cover use the rest, so the stream is the same k draws of b
+        nonlocal ahead
+        if len(ahead) < k:
+            fresh = draw(k - len(ahead))
+            ahead = np.concatenate([ahead, fresh]) if len(ahead) else fresh
+        rows, ahead = ahead[:k], ahead[k:]
+        return rows
+
+    def finish_round(t, items, avg, response, item_grads):
         transcript.samples_consumed += len(items) if kind == "bsgd" else 0
         if record:
             rec = RoundRecord(
@@ -574,11 +632,49 @@ def _run_gradient_method(model: DiffModel, batches, T: int, rho: float,
                 rec.iterate_hash = _hash_vector(w)
             transcript.append(rec)
         if hook is not None:
-            hook(BSGDRoundInfo(index=t, batch=tuple(items), avg=avg,
+            hook(BSGDRoundInfo(index=t, batch=items, avg=avg,
                                response=response, w=w))
+
+    t = 1
+    while t <= T:
+        tail = model.pad_tail(w, loss) if model.pad_tail is not None else None
+        if tail is not None and len(tail.coords):
+            if labels is None:
+                labels = np.array([ex.y for ex in pool])
+            rows = take(min(len(tail.coords), T - t + 1))
+            grads, avg, response, after = _pad_pass(
+                tail, rows, labels, w, rho, gamma, rounding)
+            n = len(avg)
+            ahead = np.concatenate([rows[n:], ahead])
+            coords = tail.coords[:n]
+            # hand rounds out a slice at a time, so that few per-round
+            # Python objects are alive at once
+            for lo in range(0, n, _PAD_SLICE):
+                part = slice(lo, lo + _PAD_SLICE)
+                per_item = (grads[part].tolist() if record and record_items
+                            else repeat(None))
+                for c, a, v, x, row, g in zip(
+                        coords[part].tolist(), avg[part].tolist(),
+                        response[part].tolist(), after[part].tolist(),
+                        rows[part].tolist(), per_item):
+                    if v != 0.0:
+                        w[c] = x
+                    finish_round(t, tuple([pool[i] for i in row]), {c: a},
+                                 {c: v},
+                                 None if g is None else [{c: gi} for gi in g])
+                    t += 1
+            continue
+        items = tuple([pool[i] for i in take(1)[0]])
+        if record and record_items:
+            item_grads = [_clipped_gradient(model, w, ex, loss) for ex in items]
+        else:
+            item_grads = None
+        avg, response = _gradient_step(model, w, items, rho, gamma, rounding, loss)
+        finish_round(t, items, avg, response, item_grads)
+        t += 1
     transcript.random_bits_consumed = model.random_bits
     if kind == "fbgd":
-        transcript.samples_consumed = len(batches(1))
+        transcript.samples_consumed = len(pool)
     predictor = ModelSnapshot(model, w.copy())
     return MethodRun(predictor=predictor, transcript=transcript,
                      final_params=w.copy(), init_bits=bits)
@@ -599,15 +695,14 @@ def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
     if rounding is None:
         rounding = RoundingOracle()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
-    support = D.support
     b = int(b)
 
-    def batches(t: int) -> tuple[Example, ...]:
-        return tuple(support[i] for i in D.draw_indices(rng, b))
+    def draw(k: int) -> np.ndarray:
+        return D.draw_indices(rng, b * k).reshape(k, b)
 
-    return _run_gradient_method(model, batches, T, rho, gamma, rounding, seed,
-                                "bsgd", b, record, record_items, record_hashes,
-                                loss, hook)
+    return _run_gradient_method(model, D.support, draw, T, rho, gamma,
+                                rounding, seed, "bsgd", b, record,
+                                record_items, record_hashes, loss, hook)
 
 
 def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
@@ -619,12 +714,13 @@ def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
     if rounding is None:
         rounding = RoundingOracle()
     items = tuple(S.items)
+    every = np.arange(len(items))
 
-    def batches(t: int) -> tuple[Example, ...]:
-        return items
+    def draw(k: int) -> np.ndarray:
+        return np.broadcast_to(every, (k, len(items)))
 
-    return _run_gradient_method(model, batches, T, rho, gamma, rounding, seed,
-                                "fbgd", len(items), record, record_items,
+    return _run_gradient_method(model, items, draw, T, rho, gamma, rounding,
+                                seed, "fbgd", len(items), record, record_items,
                                 record_hashes, loss, hook)
 
 

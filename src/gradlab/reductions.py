@@ -252,11 +252,16 @@ def _scalarize(inner: QueryProgram, grid: float | None) -> _AdaptedProgram:
 
 
 def _snap(inner: QueryProgram, grid: float) -> _AdaptedProgram:
-    """Pass queries through; snap every response onto a grid."""
+    """Pass queries through; snap every response onto a grid.
+
+    Queries keep their restrictions one to one, so an alternating inner
+    program stays alternating.
+    """
     return _AdaptedProgram(
         inner, 1, inner.arity, split=lambda query: [query],
         merge=lambda answers: round_nearest_multiple(
-            np.asarray(answers[0], dtype=float), grid))
+            np.asarray(answers[0], dtype=float), grid),
+        alternating=getattr(inner, "alternating", False))
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +495,22 @@ def bsgd_to_bsq(model: DiffModel, T: int, rho: float, b: int,
 # replay and validity checking
 
 
-def decode_examples(D: FiniteDistribution,
-                    codes: Sequence[int]) -> tuple[Example, ...]:
-    """Map recorded joint codes back to support examples."""
-    table = {int(c): ex for c, ex in zip(D.joint_codes, D.support)}
+def _code_table(D: FiniteDistribution) -> dict[int, Example]:
+    return {int(c): ex for c, ex in zip(D.joint_codes, D.support)}
+
+
+def _decode(table: dict[int, Example],
+            codes: Sequence[int]) -> tuple[Example, ...]:
     try:
         return tuple(table[int(c)] for c in codes)
     except KeyError as err:
         raise ValueError(f"code {err} not in the support") from None
+
+
+def decode_examples(D: FiniteDistribution,
+                    codes: Sequence[int]) -> tuple[Example, ...]:
+    """Map recorded joint codes back to support examples."""
+    return _decode(_code_table(D), codes)
 
 
 class ReplayOracle(_QueryOracle):
@@ -514,8 +527,8 @@ class ReplayOracle(_QueryOracle):
                  batch_code_rounds: Sequence[Sequence[int]], tau: float,
                  adversary: NoiseAdversary = NoiseAdversary.ZERO_NOISE,
                  seed: int = 0, record: bool = True):
-        self.batches = [decode_examples(D, codes)
-                        for codes in batch_code_rounds]
+        table = _code_table(D)
+        self.batches = [_decode(table, codes) for codes in batch_code_rounds]
         super().__init__(tau, adversary, seed, record)
         self.transcript = Transcript(
             meta={"kind": self.kind, "tau": self.tau,

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gradlab.diffsim import TrajectoryAuditor
 from gradlab.numerics import ToleranceError, round_nearest_multiple
 from gradlab.paradigms import (
     BSQOracle,
@@ -379,6 +380,14 @@ class TestSqToFbsq:
         with pytest.warns(RuntimeWarning, match="without guarantee"):
             sq_to_fbsq(self._sq(), m=50, delta=0.1)
 
+    def test_keeps_the_alternating_flag(self):
+        split = sq_split_alternating(self._sq())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert sq_to_fbsq(split, m=50, delta=0.1).program.alternating
+            assert not sq_to_fbsq(self._sq(), m=50,
+                                  delta=0.1).program.alternating
+
     def test_silent_inside_regime(self):
         k, tau, delta = 2, 1 / 4, 0.1
         need = 32 * (k * math.log(4 / tau + 1) + math.log(4 / delta))
@@ -590,6 +599,16 @@ class TestReplayOracle:
         D = four_point()
         with pytest.raises(ValueError, match="not in the support"):
             decode_examples(D, [9999])
+        codes = [[int(D.joint_codes[0])], [int(D.joint_codes[1]), 9999]]
+        with pytest.raises(ValueError, match="9999 not in the support"):
+            ReplayOracle(D, codes, tau=1 / 8)
+
+    def test_batches_decode_through_one_table(self):
+        D = four_point()
+        rows = [[int(c) for c in D.joint_codes[::-1]], [], [
+            int(D.joint_codes[2])] * 3]
+        oracle = ReplayOracle(D, rows, tau=1 / 8)
+        assert oracle.batches == [decode_examples(D, r) for r in rows]
 
 
 class TestPopulationViolationRate:
@@ -699,6 +718,25 @@ class TestBuildPipeline:
                            "delta": 0.1}}
         with pytest.raises(PipelineError, match="alternating"):
             build_pipeline(spec)
+
+    def test_split_then_frozen_batch_compiles_and_trains(self):
+        # the sq_to_fbsq stage keeps the split program's alternation
+        stages = ["pac_to_bsq", "bsq_to_sq", "sq_split_alternating",
+                  "sq_to_fbsq"]
+        params = dict(payload="parity", n=2, m=3, b=4, tau=1 / 64,
+                      m_batch=64, delta=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            method, report = build_pipeline(stages + ["diffsim"], **params)
+            audit_method, _ = build_pipeline(stages, **params)
+        assert audit_method.program.alternating
+        assert method.T == audit_method.k == report.derived["diffsim"]["T"]
+        D = FiniteDistribution.parity(2, (1, 1))
+        auditor = TrajectoryAuditor(audit_method.program, method.rho)
+        method.run(D, seed=0, record=False, hook=auditor.hook)
+        audit = auditor.check()
+        assert audit.rounds == method.T
+        assert audit.active_rounds + audit.pad_rounds == method.T
 
     def test_zero_payload_runs_end_to_end(self):
         spec = {"pipeline": ["pac_to_bsq"], "payload": "zero",
