@@ -131,7 +131,11 @@ def clip1(v) -> np.ndarray:
 def round_nearest_multiple(v, step: float) -> np.ndarray:
     """Round each entry to the nearest multiple of step, ties away from zero."""
     grid_exponent(step)
-    scaled = np.asarray(v, dtype=float) / step
+    return _nearest(np.asarray(v, dtype=float), step)
+
+
+def _nearest(arr: np.ndarray, step: float) -> np.ndarray:
+    scaled = arr / step
     q = np.floor(np.abs(scaled) + 0.5) * np.sign(scaled)
     return q * step
 
@@ -186,13 +190,13 @@ def round_approximate(v, rho: float, oracle: RoundingOracle | None = None) -> np
         oracle = RoundingOracle()
     d = grid_exponent(rho)
     arr = np.asarray(v, dtype=float)
-    if arr.size and np.max(np.abs(arr)) > 1.0 + 1e-9:
+    if arr.size and np.abs(arr).max() > 1.0 + 1e-9:
         raise ValueError("round_approximate expects entries in [-1, 1]")
-    scaled = arr / rho
-    lo, hi, lo_ok, hi_ok = _candidate_quotients(scaled)
     strategy = oracle.strategy
     if strategy is RoundingStrategy.NEAREST:
-        return round_nearest_multiple(arr, rho)
+        return _nearest(arr, rho)
+    scaled = arr / rho
+    lo, hi, lo_ok, hi_ok = _candidate_quotients(scaled)
     if strategy is RoundingStrategy.ADVERSARIAL_UP:
         q = np.where(hi_ok, hi, lo)
     elif strategy is RoundingStrategy.ADVERSARIAL_DOWN:
@@ -211,8 +215,8 @@ def valid_rounding(g, v, rho: float) -> bool:
     g_arr = np.asarray(g, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     scaled = g_arr / rho
-    on_grid = np.all(np.abs(scaled - np.rint(scaled)) < 1e-9)
-    within = np.all(np.abs(g_arr - v_arr) <= 0.75 * rho + 1e-12 * rho)
+    on_grid = (np.abs(scaled - np.rint(scaled)) < 1e-9).all()
+    within = (np.abs(g_arr - v_arr) <= 0.75 * rho + 1e-12 * rho).all()
     return bool(on_grid and within)
 
 
