@@ -1,25 +1,36 @@
 """Byte-level pins for compiled-model training.
 
 Each digest is a SHA-256 over the exact bytes that `run_bsgd` and
-`run_fbgd` produced on compiled parity pipelines with more than 64
-rounds (so the compiled model runs on its forward-only replay and most
-rounds are pad rounds after the program finishes): transcript files,
-final parameters, initial bits, the trained predictor on the support,
-every `TrajectoryAudit` field, and the sequence of iterates a plain
-per-round hook sees.  A faster descent path must reproduce them
-unchanged; a deliberate behaviour change must update them and say why.
+`run_fbgd` produced on compiled programs: transcript files, final
+parameters, initial bits, the trained predictor on the support, every
+`TrajectoryAudit` field, and the sequence of iterates a plain per-round
+hook sees.  Two parity pipelines run 253 rounds, most of them pad
+rounds after the program finishes; a frozen-batch parity pipeline runs
+12 rounds, and a 9-round program finishes after 2.  A faster descent
+path must reproduce them unchanged; a deliberate behaviour change must
+update them and say why.
 """
 import dataclasses
 import hashlib
 import json
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
-from gradlab.diffsim import TrajectoryAuditor
+from gradlab.diffsim import TrajectoryAuditor, compile_program
 from gradlab.numerics import RoundingOracle, RoundingStrategy
-from gradlab.paradigms import run_bsgd, run_fbgd
-from gradlab.problems import FiniteDistribution, sample_batch
+from gradlab.paradigms import (
+    DiffModel,
+    GeneratorProgram,
+    LabelRestriction,
+    QueryProgram,
+    SQQuery,
+    run_bsgd,
+    run_fbgd,
+)
+from gradlab.problems import Example, FiniteDistribution, sample_batch
 from gradlab.reductions import build_pipeline
 
 SEEDS = (0, 5, 913)
@@ -29,6 +40,7 @@ FLAGS = ((True, True, True), (True, False, False), (True, True, False),
 # pipeline params: T = 253 for both, mostly pad rounds
 PIPELINES = {"b2": dict(n=2, m=2, b=2, rho=1 / 64, delta=0.95),
              "b3": dict(n=2, m=2, b=3, rho=1 / 128, delta=0.95)}
+ECHO_RHO = 2 ** -6
 
 DIGESTS = {
     "bsgd-b2":
@@ -39,6 +51,12 @@ DIGESTS = {
         "0efc22d0247e88d6086a9aed6e441a3b233b749cf69660ab66c1e9caab65da32",
     "fbgd-b3":
         "db787783ab1b639614589cedbb26e61d94e8b7cfaaceb63aeb9617ea668f96e6",
+    "fbgd-fbsq":
+        "3c21fc743016eed2f0c1ed4c9568bf4e82bc83eb83cac4f9ddabda30785a1461",
+    "bsgd-echo":
+        "e13f8425629bc186a9b90d3f8813ba832b86a5a870dfb053d59776dc6094b078",
+    "fbgd-echo":
+        "9e1833d6a21580183e41f7323be376d48beb8a2a00ed12bdb4fa33879c3bd556",
 }
 
 
@@ -65,6 +83,71 @@ def _dist() -> FiniteDistribution:
     return FiniteDistribution.random(2, 6, seed=3)
 
 
+def _echo_program() -> GeneratorProgram:
+    """Alternating arity-1 program: two queries, then pads to round 9."""
+
+    def gen(t, bits, responses):
+        if t > 2:
+            return None
+        if t % 2 == 1:
+            return SQQuery(
+                arity=1,
+                evaluator=lambda ex: np.array([float(ex.y * ex.x[0])]),
+                restriction=LabelRestriction.ONE_QUERY, name=f"one-{t}")
+        return SQQuery(
+            arity=1,
+            evaluator=lambda ex: np.array([float((1 - ex.y) * ex.x[0])]),
+            restriction=LabelRestriction.ZERO_QUERY, name=f"zero-{t}")
+
+    def fin(bits, responses):
+        total = float(sum(v[0] for v in responses))
+        return lambda x: total
+
+    return GeneratorProgram(rounds=9, arity=1, random_bits=0,
+                            query_generator=gen, final_predictor=fin,
+                            alternating=True, name="echo")
+
+
+def _mixed() -> FiniteDistribution:
+    return FiniteDistribution(2, [
+        (Example((0, 0), 0), 0.4),
+        (Example((0, 1), 1), 0.3),
+        (Example((1, 0), 1), 0.2),
+        (Example((1, 1), 0), 0.1),
+    ])
+
+
+class _Case(NamedTuple):
+    model: DiffModel
+    program: QueryProgram  # what the auditor replays
+    T: int
+    rho: float
+    b: int  # SGD batch size
+    m: int  # frozen batch size
+    D: FiniteDistribution
+
+
+@lru_cache(maxsize=None)
+def _case(name: str) -> _Case:
+    if name == "echo":
+        program = _echo_program()
+        return _Case(compile_program(program, ECHO_RHO), program, 9,
+                     ECHO_RHO, 4, 4, _mixed())
+    if name == "fbsq":
+        stages = ["pac_to_fbsq", "bsq_alternating", "diffsim"]
+        params = dict(n=2, m=2, m_batch=4, rho=1 / 64, delta=0.5)
+        method, report = build_pipeline(stages, payload="parity", **params)
+        audit_method, _ = build_pipeline(
+            stages[:-1], payload="parity",
+            **{**params, "delta": report.derived["delta_per_stage"]})
+        assert method.T == 12 and method.m == 4
+        return _Case(method.model, audit_method.program, method.T,
+                     method.rho, 0, method.m, _dist())
+    method, program = _pipeline(name)
+    return _Case(method.model, program, method.T, method.rho, method.b,
+                 method.b + 1, _dist())
+
+
 class _IterateLog:
     """Plain per-round hook: what any caller sees of each round."""
 
@@ -89,15 +172,15 @@ def _audit_fields(audit) -> str:
 
 
 def _run_chunks(runner: str, name: str, path) -> list:
-    method, program = _pipeline(name)
-    D = _dist()
+    case = _case(name)
+    D = case.D
     chunks = []
     for strategy in RoundingStrategy:
         for seed in SEEDS:
             rounding = RoundingOracle(strategy, seed=seed + 11)
-            flag_sets = FLAGS if name == "b2" else (FLAGS[0], FLAGS[-1])
+            flag_sets = FLAGS if name != "b3" else (FLAGS[0], FLAGS[-1])
             for record, items, hashes in flag_sets:
-                auditor = TrajectoryAuditor(program, method.rho)
+                auditor = TrajectoryAuditor(case.program, case.rho)
                 log = _IterateLog() if not record else None
 
                 def hook(info, auditor=auditor, log=log):
@@ -109,11 +192,11 @@ def _run_chunks(runner: str, name: str, path) -> list:
                               record_items=items, record_hashes=hashes,
                               hook=hook)
                 if runner == "bsgd":
-                    out = run_bsgd(method.model, D, method.T, method.rho,
-                                   method.b, **kwargs)
+                    out = run_bsgd(case.model, D, case.T, case.rho, case.b,
+                                   **kwargs)
                 else:
-                    S = sample_batch(D, method.b + 1, seed)
-                    out = run_fbgd(method.model, S, method.T, method.rho,
+                    S = sample_batch(D, case.m, seed)
+                    out = run_fbgd(case.model, S, case.T, case.rho,
                                    **kwargs)
                 out.transcript.to_jsonl(path)
                 chunks.append(path.read_bytes())
@@ -139,6 +222,15 @@ def test_fbgd_training_bytes(tmp_path):
     for name in PIPELINES:
         key = f"fbgd-{name}"
         assert _sha(_run_chunks("fbgd", name, path)) == DIGESTS[key], key
+
+
+@pytest.mark.parametrize("runner,name", [("fbgd", "fbsq"), ("bsgd", "echo"),
+                                         ("fbgd", "echo")])
+def test_short_program_training_bytes(tmp_path, runner, name):
+    key = f"{runner}-{name}"
+    assert _case(name).T <= 64
+    got = _sha(_run_chunks(runner, name, tmp_path / "t.jsonl"))
+    assert got == DIGESTS[key], key
 
 
 def test_audits_cover_every_round():
