@@ -192,18 +192,22 @@ class _ProgramCursor:
 
     Wraps the single mutable run a compiled model consults; everything
     it is fed is deterministic, so restarting from the same bits and
-    responses always reproduces the same queries and predictor.
+    responses always reproduces the same queries and predictor.  A
+    compiled model's replay also keeps the vector `w` it last read, the
+    active round found there (`hint`), and `finished_at`, the first
+    round the program left without a query.
     """
 
     def __init__(self, prog: QueryProgram, bits: tuple[int, ...]):
         self.prog = prog
         self.bits = tuple(bits)
         self.run = prog.start(self.bits)
+        self.w: np.ndarray | None = None
+        self.hint = 1
         self.fed = 0
-        self.finished = False
+        self.finished_at: int | None = None
         self.pending: SQQuery | None = None
         self.fetched = False
-        self.last_response: tuple[float, ...] | None = None
         self._predictor = None
 
     def query(self, t: int) -> SQQuery | None:
@@ -212,10 +216,10 @@ class _ProgramCursor:
             raise TrajectoryError(
                 f"cursor at round {self.fed + 1} asked for round {t}")
         if not self.fetched:
-            if not self.finished:
+            if self.finished_at is None:
                 q = self.run.next_query()
                 if q is None:
-                    self.finished = True
+                    self.finished_at = t
                 else:
                     want = round_restriction(t)
                     if q.restriction is not want:
@@ -236,7 +240,6 @@ class _ProgramCursor:
         if q is not None:
             self.run.receive(np.asarray(response, dtype=float))
             self._predictor = None
-            self.last_response = tuple(float(x) for x in response)
         self.fed += 1
         self.pending = None
         self.fetched = False
@@ -254,52 +257,57 @@ class _ProgramCursor:
 
 
 class _CompiledCore:
-    """Shared state and arithmetic behind a compiled model's callables."""
+    """Shared state and arithmetic behind a compiled model's callables.
 
-    HI = 1
-    LO = 0
+    Every answer is a function of the parameter vector alone.  The one
+    program replay serves the vector it last read, and any vector that
+    agrees with that one on every block the replay has consumed; any
+    other vector gets a fresh replay.
+    """
 
-    def __init__(self, prog: QueryProgram, rho: float, strict: bool):
+    def __init__(self, prog: QueryProgram, rho: float):
         self.prog = prog
         self.rho = float(rho)
         self.eps = 2.0 * self.rho
-        self.strict = strict
         self.layout = _Layout(r=prog.random_bits, p=prog.arity,
                               T=prog.rounds)
         self._cursor: _ProgramCursor | None = None
-        self._hint = 1
-        self._finished_at: int | None = None
 
-    # -- clock bookkeeping
+    # -- clock scan
 
-    def _class(self, v: float) -> int:
-        if v >= self.rho:
-            return self.HI
-        if v <= self.rho / 2.0:
-            return self.LO
-        raise ClockRegionError(
-            f"clock value {v} in the dead zone ({self.rho / 2}, {self.rho})")
+    def _locate(self, w: np.ndarray) -> tuple[_ProgramCursor, int]:
+        """The replay serving w, and w's active round (T+1: training done).
 
-    def _kappa(self, w: np.ndarray, t: int) -> float:
-        if t == 0:
-            return 1.0
-        if t == self.layout.T + 1:
-            return 0.0
-        return float(w[self.layout.kappa_index(t)])
+        The scan walks the clocks from the replay's last active round.
+        On a vector the replay has not read yet it starts at the first
+        round the replay has not consumed (every clock before it sits in
+        the agreeing prefix), and it checks every clock after the active
+        round in one pass, so a copy or a probe fails with the same
+        error wherever its clocks went wrong.
+        """
+        cur = self._cursor
+        if cur is not None and cur.w is w:
+            cur.hint = i = self._walk(w, cur.hint)
+            return cur, i
+        if cur is not None:
+            n = self.layout.start(cur.fed + 1)
+            if not np.array_equal(w[:n], cur.w[:n]):
+                cur = None
+        if cur is None:
+            cur = _ProgramCursor(self.prog, self.bits_of(w))
+        i = self._walk(w, cur.fed + 1)
+        self._check_later_clocks(w, i)
+        cur.w, cur.hint = w, i
+        self._cursor = cur
+        return cur, i
 
-    def active_round(self, w: np.ndarray) -> int:
-        """Unique round whose gate is open; T+1 means training is done."""
+    def _walk(self, w: np.ndarray, i: int) -> int:
+        """Round whose gate is open, walking the clocks from round i."""
         lay = self.layout
         T = lay.T
-        if self.strict:
-            return self._active_strict(w)
         rho = self.rho
         half = 0.5 * rho
         stride = lay.p + 1
-        i = self._hint
-        if i < 1 or i > T + 1:
-            i = 1
-        restarted = False
         while True:
             prev = 1.0 if i == 1 else w[lay.r + stride * (i - 1) - 1]
             here = 0.0 if i == T + 1 else w[lay.r + stride * i - 1]
@@ -313,7 +321,6 @@ class _CompiledCore:
                                 f" in the dead zone ({half}, {rho})")
                         raise TrajectoryError(
                             f"clock {i + 1} fired before clock {i}")
-                    self._hint = i
                     return i
                 if here >= rho:
                     i += 1
@@ -330,33 +337,27 @@ class _CompiledCore:
             if prev > half:
                 raise ClockRegionError(
                     f"clock value {prev} in the dead zone ({half}, {rho})")
-            if restarted:
-                raise TrajectoryError("no active round: clocks out of order")
-            i, restarted = 1, True
+            raise TrajectoryError("no active round: clocks out of order")
 
-    def _active_strict(self, w: np.ndarray) -> int:
-        T = self.layout.T
-        active = []
-        for t in range(1, T + 2):
-            c_prev = self._class(self._kappa(w, t - 1))
-            c_here = self._class(self._kappa(w, t))
-            if c_prev == self.HI and c_here == self.LO:
-                active.append(t)
-            elif c_prev == self.LO and c_here == self.HI:
-                raise TrajectoryError(f"clock {t} fired before clock {t - 1}")
-        if len(active) != 1:
-            raise TrajectoryError(f"expected one active round, got {active}")
-        return active[0]
+    def _check_later_clocks(self, w: np.ndarray, i: int) -> None:
+        """Every clock after active round i must still be cold."""
+        lay = self.layout
+        rho = self.rho
+        half = 0.5 * rho
+        later = w[lay.kappa_index(i + 1)::lay.p + 1]
+        warm = np.flatnonzero(~(later <= half))
+        if warm.size:
+            j = i + 1 + int(warm[0])
+            v = float(later[warm[0]])
+            if not v >= rho:
+                raise ClockRegionError(
+                    f"clock value {v} in the dead zone ({half}, {rho})")
+            raise TrajectoryError(f"clock {j} fired before clock {j - 1}")
 
     # -- program replay
 
     def bits_of(self, w: np.ndarray) -> tuple[int, ...]:
         return tuple(map(round, w[:self.layout.r].tolist()))
-
-    def invalidate(self) -> None:
-        self._cursor = None
-        self._hint = 1
-        self._finished_at = None
 
     def _snapped_block(self, w: np.ndarray, t: int) -> np.ndarray:
         blk = self.layout.theta(w, t)
@@ -365,14 +366,10 @@ class _CompiledCore:
             return np.zeros(self.layout.p)
         return snap_responses(blk, self.rho)
 
-    def _cursor_for(self, w: np.ndarray, upto: int) -> _ProgramCursor:
-        cur = self._cursor
-        if self.strict or cur is None or cur.fed > upto:
-            cur = _ProgramCursor(self.prog, self.bits_of(w))
-            if not self.strict:
-                self._cursor = cur
+    def _feed(self, cur: _ProgramCursor, w: np.ndarray,
+              upto: int) -> _ProgramCursor:
         while cur.fed < upto:
-            if cur.finished:
+            if cur.finished_at is not None:
                 self._skip_pads(cur, w, upto)
                 break
             t = cur.fed + 1
@@ -395,21 +392,13 @@ class _CompiledCore:
             snap_responses(blocks[row], self.rho)
         cur.skip_finished(upto)
 
-    def query_for(self, w: np.ndarray, t: int) -> SQQuery | None:
-        q = self._cursor_for(w, t - 1).query(t)
-        if q is None and not self.strict and self._finished_at is None:
-            self._finished_at = t
-        return q
-
-    def _round_query(self, w: np.ndarray, t: int) -> SQQuery | None:
-        """Round-t query; None for pad rounds past a known finish."""
-        fin = self._finished_at
+    def _query(self, cur: _ProgramCursor, w: np.ndarray,
+               t: int) -> SQQuery | None:
+        """Round-t query; None for the pad rounds past the finish."""
+        fin = cur.finished_at
         if fin is not None and t >= fin:
             return None
-        return self.query_for(w, t)
-
-    def final_predictor(self, w: np.ndarray):
-        return self._cursor_for(w, self.layout.T).predictor()
+        return self._feed(cur, w, t - 1).query(t)
 
     # -- model callables
 
@@ -417,17 +406,16 @@ class _CompiledCore:
         lay = self.layout
         if len(bits) != lay.r:
             raise ValueError(f"need {lay.r} bits, got {len(bits)}")
-        self.invalidate()
         w = np.zeros(lay.dim)
         w[:lay.r] = bits
         return w
 
     def value(self, w: np.ndarray, x) -> float:
-        i = self.active_round(w)
+        cur, i = self._locate(w)
         lay = self.layout
         if i == lay.T + 1:
-            return float(self.final_predictor(w)(x))
-        q = self._round_query(w, i)
+            return float(self._feed(cur, w, lay.T).predictor()(x))
+        q = self._query(cur, w, i)
         kap = float(w[lay.kappa_index(i)])
         odd = i % 2 == 1
         inner = 0.0
@@ -442,19 +430,25 @@ class _CompiledCore:
         """Closed form of the pad rounds from the active one on.
 
         Past the program's finish a round's gradient is its clock's
-        alone, a function of that clock and the label.  Rounds after
-        the active one stay pad rounds while their clock and the next
-        one are cold, which is what `active_round` checks on the way;
-        the tail stops before the first round that would fail it.  The
-        closed form applies the square loss's derivative to arrays, so
-        other losses get None and train per example.
+        alone, a function of that clock and the label.  The tail starts
+        once the previous round was a pad round too, so the first pad
+        round of a run trains per example.  Rounds after the active one
+        stay pad rounds while their clock and the next one are cold,
+        which is what the clock scan checks on the way; the tail stops
+        before the first round that would fail it.  The closed form
+        applies the square loss's derivative to arrays, so other losses
+        get None and train per example.
         """
-        fin = self._finished_at
-        if fin is None or type(loss) is not SquareLoss:
+        if type(loss) is not SquareLoss:
             return None
-        i = self.active_round(w)
+        cur, i = self._locate(w)
         lay = self.layout
-        if not fin <= i <= lay.T:
+        if not 1 < i <= lay.T:
+            return None
+        if cur.finished_at is None and cur.fed < i - 1:
+            self._query(cur, w, i - 1)
+        fin = cur.finished_at
+        if fin is None or fin >= i:
             return None
         half = 0.5 * self.rho
         coords = np.arange(lay.kappa_index(i), lay.dim, lay.p + 1)
@@ -476,13 +470,13 @@ class _CompiledCore:
 
     def gradient(self, w: np.ndarray, ex: Example,
                  loss: SquareLoss) -> dict[int, float]:
-        i = self.active_round(w)
+        cur, i = self._locate(w)
         lay = self.layout
         if i == lay.T + 1:
             return {}
         kidx = lay.r + (lay.p + 1) * i - 1
         kap = float(w[kidx])
-        q = self._round_query(w, i)
+        q = self._query(cur, w, i)
         odd = i % 2 == 1
         sign = 1.0 if odd else -1.0
         if q is None:
@@ -500,8 +494,7 @@ class _CompiledCore:
         return g
 
 
-def compile_program(prog: QueryProgram, rho: float,
-                    strict: bool | None = None) -> DiffModel:
+def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
     """Bake an alternating query program into a trainable model.
 
     Running precision-rho minibatch SGD with unit rate for `prog.rounds`
@@ -510,19 +503,18 @@ def compile_program(prog: QueryProgram, rho: float,
     trained model computes the program's final predictor.  Parameter
     count is r + (arity+1)*rounds.
 
-    Strict mode recomputes everything from the parameter vector on each
-    call, making the model a pure function; it is the default up to 64
-    rounds.  Above that the model reuses a forward-only replay of the
-    program, which assumes callers only move along a training
-    trajectory (descent plus small probes of the current iterate).
+    The model is a pure function of its parameter vector.  It keeps one
+    replay of the program for the vector it last read and reuses it for
+    any vector that agrees on the blocks already replayed, so a vector
+    may change in place only at or after its active round, as a descent
+    step does; pass anything else (a probe, an edited iterate) as a
+    copy.  Finished programs state their pad rounds through `pad_tail`.
     """
     grid_exponent(rho)
     if not getattr(prog, "alternating", False):
         raise ValueError("compilation needs a program marked alternating; "
                          "route others through the label-splitting transform")
-    if strict is None:
-        strict = prog.rounds <= 64
-    core = _CompiledCore(prog, rho, strict)
+    core = _CompiledCore(prog, rho)
     return DiffModel(
         dim=core.layout.dim,
         random_bits=core.layout.r,
@@ -530,7 +522,7 @@ def compile_program(prog: QueryProgram, rho: float,
         value=core.value,
         loss_gradient=core.gradient,
         name=f"compiled[{getattr(prog, 'name', '') or 'program'}]",
-        pad_tail=None if strict else core.pad_tail,
+        pad_tail=core.pad_tail,
     )
 
 

@@ -477,7 +477,13 @@ class DiffModel:
 
 @dataclass(eq=False)
 class ModelSnapshot:
-    """Predictor formed by freezing a model at trained parameters."""
+    """Predictor formed by freezing a model at trained parameters.
+
+    It answers `model.value(params, x)` on its own copy of the
+    parameters.  The models in this package compute their value from
+    the parameter vector alone, so a snapshot stays fixed while the same
+    model goes on to train other runs.
+    """
 
     model: DiffModel
     params: np.ndarray

@@ -1,6 +1,7 @@
 """Tests for query programs compiled into trainable models."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradlab.diffsim import (
     ClockRegionError,
@@ -24,8 +25,14 @@ from gradlab.paradigms import (
     eval_method_error,
     parity_learner,
     run_bsgd,
+    run_fbgd,
 )
-from gradlab.problems import SQUARE_LOSS, Example, FiniteDistribution
+from gradlab.problems import (
+    SQUARE_LOSS,
+    Example,
+    FiniteDistribution,
+    sample_batch,
+)
 from gradlab.reductions import ReplayOracle, build_pipeline, pac_to_bsq
 
 RHO = 2 ** -6
@@ -304,23 +311,11 @@ class TestCompiledTrajectory:
         out, _ = train_audited(model, prog, mixed_distribution(), b=4,
                                rho=RHO, seed=7)
         w = out.final_params
-        cursorless = compile_program(prog, RHO, strict=True)
+        fresh = compile_program(prog, RHO)
         for ex, _ in mixed_distribution().entries:
             direct = model.value(w, ex.x)
             assert out.predictor(ex.x) == direct
-            assert cursorless.value(w, ex.x) == direct
-
-    def test_strict_and_cached_modes_agree(self):
-        prog = echo_program(5)
-        fast = compile_program(prog, RHO, strict=False)
-        slow = compile_program(prog, RHO, strict=True)
-        D = mixed_distribution()
-        for seed in (0, 1, 2):
-            a = run_bsgd(fast, D, T=5, rho=RHO, b=4, seed=seed)
-            b_ = run_bsgd(slow, D, T=5, rho=RHO, b=4, seed=seed)
-            assert np.array_equal(a.final_params, b_.final_params)
-            for ex, _ in D.entries:
-                assert a.predictor(ex.x) == b_.predictor(ex.x)
+            assert fresh.value(w, ex.x) == direct
 
     def test_random_bit_prefix_survives_training(self):
         prog = echo_program(4, random_bits=6)
@@ -381,12 +376,141 @@ class TestCompiledTrajectory:
 
     def test_out_of_order_clocks_detected(self):
         prog = echo_program(3)
-        for strict in (False, True):
-            model = compile_program(prog, RHO, strict=strict)
+        fresh = compile_program(prog, RHO)
+        trained = compile_program(prog, RHO)
+        run_bsgd(trained, mixed_distribution(), T=3, rho=RHO, b=4, seed=0)
+        for model in (fresh, trained):
             w = np.zeros(model.dim)
             w[3] = 2 * RHO  # second clock fired, first still cold
             with pytest.raises(TrajectoryError):
                 model.value(w, (0, 0))
+
+
+def parity_pipeline():
+    """253-round compiled parity pipeline and the program it compiles."""
+    stages = ["pac_to_bsq", "bsq_alternating", "diffsim"]
+    params = dict(n=2, m=2, b=2, rho=1 / 64, delta=0.95)
+    method, report = build_pipeline(stages, payload="parity", **params)
+    inner, _ = build_pipeline(
+        stages[:-1], payload="parity",
+        **{**params, "delta": report.derived["delta_per_stage"]})
+    assert method.T == 253
+    return method, inner.program
+
+
+def answers(model, w, D):
+    """Everything a model answers at w, its pad tail asked first."""
+    tail = model.pad_tail(w, SQUARE_LOSS)
+    seen = [None if tail is None else
+            (tail.coords.tolist(), tail.grad0.tobytes(), tail.grad1.tobytes(),
+             tail.fire)]
+    for ex in D.support:
+        seen.append(repr(model.value(w, ex.x)))
+        g = model.loss_gradient(w, ex, SQUARE_LOSS)
+        seen.append(sorted((k, repr(v)) for k, v in g.items()))
+    return seen
+
+
+class TestPureFunctionOfParameters:
+    @settings(max_examples=12, deadline=None)
+    @given(strategy=st.sampled_from(ALL_STRATEGIES),
+           seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+           runner=st.sampled_from(["bsgd", "fbgd"]))
+    def test_every_iterate_answers_as_on_a_fresh_model(self, strategy, seeds,
+                                                       runner):
+        # one model trains two runs; during the second, copies of both
+        # runs' iterates are probed on it, interleaved, and on fresh models
+        method, prog = parity_pipeline()
+        model = compile_program(prog, method.rho)
+        D = FiniteDistribution.random(2, 6, seed=3)
+
+        def train(m, seed, hook=None):
+            rounding = RoundingOracle(strategy=strategy, seed=seed)
+            if runner == "bsgd":
+                return run_bsgd(m, D, method.T, method.rho, method.b,
+                                rounding=rounding, seed=seed, record=False,
+                                hook=hook)
+            return run_fbgd(m, sample_batch(D, 3, seed), method.T,
+                            method.rho, rounding=rounding, seed=seed,
+                            record=False, hook=hook)
+
+        first = []
+        train(model, seeds[0], lambda info: first.append(info.w.copy()))
+
+        def probe(info):
+            for w in (info.w.copy(), first[info.index - 1]):
+                fresh = compile_program(prog, method.rho)
+                assert answers(model, w, D) == answers(fresh, w, D)
+
+        second = train(model, seeds[1], probe)
+        alone = train(compile_program(prog, method.rho), seeds[1])
+        assert second.final_params.tobytes() == alone.final_params.tobytes()
+        for ex in D.support:
+            assert repr(second.predictor(ex.x)) == repr(alone.predictor(ex.x))
+
+    @pytest.mark.parametrize("seeds", [(3, 4), (5, 6), (7, 8)])
+    def test_snapshot_outlives_a_second_run(self, seeds):
+        method, prog = parity_pipeline()
+        D1 = FiniteDistribution.random(2, 6, seed=3)
+        D2 = FiniteDistribution.random(2, 6, seed=11)
+        first = method.run(D1, seed=seeds[0], record=False)
+        method.run(D2, seed=seeds[1], record=False)
+        fresh = compile_program(prog, method.rho)
+        for ex in D1.support:
+            assert first.predictor(ex.x) == fresh.value(first.final_params,
+                                                        ex.x)
+
+    @pytest.mark.parametrize("value,error", [(0.75, ClockRegionError),
+                                             (2.0, TrajectoryError)])
+    def test_far_clock_detected_on_a_copy(self, value, error):
+        prog = echo_program(4)
+        model = compile_program(prog, RHO)
+        out = run_bsgd(model, mixed_distribution(), T=1, rho=RHO, b=4,
+                       seed=0)
+        w = out.final_params.copy()
+        w[7] = value * RHO  # clock 4, while round 2 is active
+        with pytest.raises(error):
+            model.value(w, (0, 0))
+
+    @pytest.mark.parametrize("value,error", [(0.75, ClockRegionError),
+                                             (2.0, TrajectoryError)])
+    @pytest.mark.parametrize("at", [1, 40, 200])
+    def test_far_clock_detected_on_a_pipeline_iterate(self, value, error,
+                                                      at):
+        method, _ = parity_pipeline()
+        model = method.model
+        seen = {}
+        method.run(FiniteDistribution.random(2, 6, seed=3), seed=1,
+                   record=False,
+                   hook=lambda info: seen.setdefault(info.index,
+                                                     info.w.copy()))
+        w = seen[at].copy()
+        w[-1] = value * method.rho  # the last clock, rounds ahead
+        with pytest.raises(error):
+            model.value(w, (0, 0))
+        with pytest.raises(error):
+            model.loss_gradient(w, Example((1, 0), 1), SQUARE_LOSS)
+
+    @pytest.mark.parametrize("value,error", [(0.75, ClockRegionError),
+                                             (0.0, TrajectoryError)])
+    @pytest.mark.parametrize("at", [40, 200])
+    def test_fired_clock_checked_on_a_pipeline_iterate(self, value, error,
+                                                       at):
+        # the model's replay has read the run's vector past round at/2
+        method, prog = parity_pipeline()
+        model = method.model
+        seen = {}
+        method.run(FiniteDistribution.random(2, 6, seed=3), seed=1,
+                   record=False,
+                   hook=lambda info: seen.setdefault(info.index,
+                                                     info.w.copy()))
+        w = seen[at].copy()
+        w[prog.random_bits + (prog.arity + 1) * (at // 2) - 1] = (
+            value * method.rho)
+        with pytest.raises(error):
+            model.value(w, (0, 0))
+        with pytest.raises(error):
+            model.pad_tail(w, SQUARE_LOSS)
 
 
 class TestGradientCheck:
@@ -446,7 +570,7 @@ class TestPipelineIntegration:
         pac = parity_learner(2, m=3)
         bsq = pac_to_bsq(pac, b=4, tau=tau, delta=0.05, n=2,
                          alternating=True)
-        model = compile_program(bsq.program, rho, strict=False)
+        model = compile_program(bsq.program, rho)
         out, audit = train_audited(model, bsq.program, D, b=4, rho=rho,
                                    seed=12, record=True)
         assert audit.ok
