@@ -506,9 +506,10 @@ def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
     The model is a pure function of its parameter vector.  It keeps one
     replay of the program for the vector it last read and reuses it for
     any vector that agrees on the blocks already replayed, so a vector
-    may change in place only at or after its active round, as a descent
-    step does; pass anything else (a probe, an edited iterate) as a
-    copy.  Finished programs state their pad rounds through `pad_tail`.
+    may change in place only as a descent step changes it, in the block
+    of its active round; pass anything else (a probe, an edited
+    iterate) as a copy.  Finished programs state their pad rounds
+    through `pad_tail`.
     """
     grid_exponent(rho)
     if not getattr(prog, "alternating", False):

@@ -479,10 +479,8 @@ class DiffModel:
 class ModelSnapshot:
     """Predictor formed by freezing a model at trained parameters.
 
-    It answers `model.value(params, x)` on its own copy of the
-    parameters.  The models in this package compute their value from
-    the parameter vector alone, so a snapshot stays fixed while the same
-    model goes on to train other runs.
+    Every model in this package is a pure function of its parameters,
+    so a snapshot stays fixed while the same model trains other runs.
     """
 
     model: DiffModel

@@ -1,4 +1,7 @@
 """Tests for query programs compiled into trainable models."""
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -490,6 +493,35 @@ class TestPureFunctionOfParameters:
             model.value(w, (0, 0))
         with pytest.raises(error):
             model.loss_gradient(w, Example((1, 0), 1), SQUARE_LOSS)
+
+    @pytest.mark.parametrize("value", [1.0, 0.75, float("nan")])
+    def test_pad_pass_keeps_the_next_clock_check(self, value):
+        # a hook warms a pad clock in place, on the vector the replay
+        # knows: the pad pass must stop where the per-example loop raises
+        method, prog = parity_pipeline()
+        j = method.T - 30
+        kidx = prog.random_bits + (prog.arity + 1) * j - 1
+        D = FiniteDistribution.random(2, 6, seed=3)
+
+        def outcome(model):
+            log = hashlib.sha256()
+
+            def hook(info):
+                log.update(info.w.tobytes())
+                if info.index == 1:
+                    info.w[kidx] = value * method.rho
+
+            try:
+                run_bsgd(model, D, method.T, method.rho, method.b, seed=1,
+                         record=False, hook=hook)
+            except (ClockRegionError, TrajectoryError) as err:
+                return type(err).__name__, str(err), log.hexdigest()
+            return "ok", log.hexdigest()
+
+        fast = outcome(method.model)
+        assert fast[0] != "ok"
+        assert fast == outcome(dataclasses.replace(method.model,
+                                                   pad_tail=None))
 
     @pytest.mark.parametrize("value,error", [(0.75, ClockRegionError),
                                              (0.0, TrajectoryError)])
