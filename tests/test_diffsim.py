@@ -401,6 +401,15 @@ def parity_pipeline():
     return method, inner.program
 
 
+def pipeline_iterate(at: int):
+    """The pipeline, its program, and a copy of round `at`'s iterate."""
+    method, prog = parity_pipeline()
+    seen = {}
+    method.run(FiniteDistribution.random(2, 6, seed=3), seed=1, record=False,
+               hook=lambda info: seen.setdefault(info.index, info.w.copy()))
+    return method, prog, seen[at].copy()
+
+
 def answers(model, w, D):
     """Everything a model answers at w, its pad tail asked first."""
     tail = model.pad_tail(w, SQUARE_LOSS)
@@ -480,14 +489,8 @@ class TestPureFunctionOfParameters:
     @pytest.mark.parametrize("at", [1, 40, 200])
     def test_far_clock_detected_on_a_pipeline_iterate(self, value, error,
                                                       at):
-        method, _ = parity_pipeline()
+        method, _, w = pipeline_iterate(at)
         model = method.model
-        seen = {}
-        method.run(FiniteDistribution.random(2, 6, seed=3), seed=1,
-                   record=False,
-                   hook=lambda info: seen.setdefault(info.index,
-                                                     info.w.copy()))
-        w = seen[at].copy()
         w[-1] = value * method.rho  # the last clock, rounds ahead
         with pytest.raises(error):
             model.value(w, (0, 0))
@@ -529,14 +532,8 @@ class TestPureFunctionOfParameters:
     def test_fired_clock_checked_on_a_pipeline_iterate(self, value, error,
                                                        at):
         # the model's replay has read the run's vector past round at/2
-        method, prog = parity_pipeline()
+        method, prog, w = pipeline_iterate(at)
         model = method.model
-        seen = {}
-        method.run(FiniteDistribution.random(2, 6, seed=3), seed=1,
-                   record=False,
-                   hook=lambda info: seen.setdefault(info.index,
-                                                     info.w.copy()))
-        w = seen[at].copy()
         w[prog.random_bits + (prog.arity + 1) * (at // 2) - 1] = (
             value * method.rho)
         with pytest.raises(error):
