@@ -1,5 +1,6 @@
 """Tests for flat-shelf nets, counting gadgets, and program emulation."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -700,6 +701,13 @@ class TestProgramEmulation:
         train_emulation(net1, layout1, D, b=4, seed=9)
         train_emulation(net2, layout2, D, b=4, seed=9)
         assert np.array_equal(net1.weights, net2.weights)
+
+    def test_emulation_net_bytes(self):
+        # every gate kind through the circuit inliner: not, and, or, true
+        net, _ = build_emulation_net(majority_mux_program(), 1 / 16)
+        digest = hashlib.sha256(net.to_json().encode()).hexdigest()
+        assert digest == ("20bb71daf1c2759969647a603756c149"
+                          "36bc2045988d9de33581196c7cab202d")
 
     def test_frozen_audit_mechanism(self):
         net, layout = build_emulation_net(constant_count_program(), 1 / 16)

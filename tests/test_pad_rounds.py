@@ -1,10 +1,11 @@
 """The closed-form pad pass against the per-example loop it replaces.
 
 Once a compiled program has finished, the runners take every remaining
-pad round in one vectorised pass and the trajectory auditor checks
-them in one pass.  The references here are the per-example training
-loop and the per-round auditor as they stood before that pass existed;
-both paths must agree bit for bit, errors included.
+pad round in one vectorised pass, and the trajectory auditor records
+every round and checks them in one pass.  The references here are the
+per-example training loop and the per-round auditor as they stood
+before those passes existed; both paths must agree bit for bit, errors
+included.
 """
 import dataclasses
 import hashlib
@@ -37,6 +38,7 @@ from gradlab.numerics import (
 from gradlab.paradigms import (
     BSGDRoundInfo,
     GeneratorProgram,
+    LabelRestriction,
     MethodRun,
     ModelSnapshot,
     RoundRecord,
@@ -54,6 +56,7 @@ from gradlab.problems import (
     sample_batch,
 )
 from gradlab.reductions import build_pipeline, decode_examples
+from test_train_bytes import _audit_fields
 
 STAGES = ["pac_to_bsq", "bsq_alternating", "diffsim"]
 
@@ -290,11 +293,6 @@ def _outcome(fn, path):
             [out.predictor(ex.x) for ex in _dist().support])
 
 
-def _audit_state(audit):
-    return json.dumps({k: repr(v) if isinstance(v, float) else v
-                       for k, v in dataclasses.asdict(audit).items()})
-
-
 # ---------------------------------------------------------------------------
 # the pad pass is the per-example loop
 
@@ -400,9 +398,10 @@ def test_pad_pass_matches_loop_when_clocks_stall(tmp_path_factory, strategy,
 
 @pytest.mark.parametrize("value", [1.0, 0.75, 0.25, float("nan")])
 @pytest.mark.parametrize("runner", ["bsgd", "fbgd"])
-def test_pad_pass_stops_at_a_warm_future_clock(tmp_path, value, runner):
-    # a future pad clock set before its round: the loop raises (or, for a
-    # cold nonzero clock, trains on) at the round that first looks at it
+def test_future_clock_set_by_init_fails_at_round_1(tmp_path, value, runner):
+    # a future pad clock warmed by init: the clock check on the runner's
+    # fresh vector raises at round 1, before any hook call, on both paths;
+    # a cold nonzero clock (0.25 rho) trains on alike on both
     method, _ = _pipeline(2)
     model = method.model
     core = model.init.__self__
@@ -432,6 +431,7 @@ def test_pad_pass_stops_at_a_warm_future_clock(tmp_path, value, runner):
     assert outcomes[0] == outcomes[1]
     if value != 0.25:
         assert outcomes[0][0] == "error"
+        assert outcomes[0][3] == hashlib.sha256().hexdigest()  # no hook call
 
 
 def test_pad_pass_covers_the_tail():
@@ -523,10 +523,12 @@ def _replay(auditors, method, out, faults, peek=()):
     `faults` maps a round to extra {index: response} entries; each is
     applied to the parameters like any other response entry (a clock
     entry replaces the round's own).  `peek` lists rounds after which
-    `audit` is read mid-run.
+    `audit` is read mid-run.  An auditor whose hook raises gets no
+    further rounds; its outcome is the error with the audit it left.
     """
     D = _dist()
     w = method.model.init(out.init_bits).copy()
+    errors = [None] * len(auditors)
     for rec in out.transcript.records:
         response = dict(rec.response)
         response.update(faults.get(rec.index, {}))
@@ -536,11 +538,17 @@ def _replay(auditors, method, out, faults, peek=()):
         info = BSGDRoundInfo(index=rec.index,
                              batch=decode_examples(D, rec.batch_codes),
                              avg=dict(rec.exact_mean), response=response, w=w)
-        for auditor in auditors:
-            auditor.hook(info)
+        for k, auditor in enumerate(auditors):
+            if errors[k] is not None:
+                continue
+            try:
+                auditor.hook(info)
+            except Exception as err:  # both auditors must fail the same way
+                errors[k] = (rec.index, type(err).__name__, str(err))
+                continue
             if rec.index in peek:
                 auditor.audit  # noqa: B018 - reading flushes logged rounds
-    return [_audit_state(a.audit) for a in auditors]
+    return [(err, _audit_fields(a.audit)) for err, a in zip(errors, auditors)]
 
 
 def _pad_range(method, program, out):
@@ -622,3 +630,103 @@ def test_pad_fault_mixes_match_per_round_audit(seed, picks, peek):
     got, want = _replay([fast, slow], method, out, faults,
                         peek={at(u) for u in peek})
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the whole-run audit finds what the per-round audit finds
+
+
+class _WrongRestriction:
+    """The audit program, but round `bad` emits the other label restriction."""
+
+    def __init__(self, prog, bad):
+        self.prog = prog
+        self.bad = bad
+        self.rounds = prog.rounds
+        self.arity = prog.arity
+        self.random_bits = prog.random_bits
+
+    def start(self, bits):
+        return _WrongRestrictionRun(self.prog.start(bits), self.bad)
+
+
+class _WrongRestrictionRun:
+    def __init__(self, run, bad):
+        self.run = run
+        self.bad = bad
+        self.t = 1
+
+    def next_query(self):
+        q = self.run.next_query()
+        if q is not None and self.t == self.bad:
+            flip = (LabelRestriction.ZERO_QUERY
+                    if q.restriction is LabelRestriction.ONE_QUERY
+                    else LabelRestriction.ONE_QUERY)
+            q = dataclasses.replace(q, restriction=flip)
+        return q
+
+    def receive(self, response):
+        self.t += 1
+        self.run.receive(response)
+
+    def predictor(self):
+        return self.run.predictor()
+
+
+@pytest.mark.parametrize("bad", [1, 2, 5, 6])
+def test_replay_errors_match_per_round_audit(bad):
+    method, program, out = _clean_run(3)
+    audited = _WrongRestriction(program, bad)
+    fast = TrajectoryAuditor(audited, method.rho)
+    slow = _PerRoundAuditor(audited, method.rho)
+    got, want = _replay([fast, slow], method, out, {})
+    assert got == want
+    audit = fast.audit
+    assert audit.rounds == method.T
+    assert audit.active_rounds == bad - 1 and audit.pad_rounds == 0
+    assert "alternating discipline" in audit.violations[0]
+    assert len(audit.violations) == method.T - bad + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from([2, 3]),
+       picks=st.lists(st.tuples(
+           st.sampled_from(FAULTS),
+           st.floats(0.0, 1.0), st.sampled_from([0.25, 1.0, 3.3, 5.0])),
+           min_size=0, max_size=4),
+       peek=st.lists(st.floats(0.0, 1.0), max_size=2),
+       bad=st.sampled_from([None, 1, 2, 5, 6]))
+def test_whole_run_fault_mixes_match_per_round_audit(seed, picks, peek, bad):
+    # faults land in active rounds and the first pad rounds; an off-grid
+    # write into an active block can make the program raise mid-run
+    method, program, out = _clean_run(seed)
+    lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
+    first = 5
+    last = _pad_range(method, program, out) + 3
+
+    def at(u):
+        return first + int(u * (last - first))
+
+    faults = {}
+    for kind, u, amount in picks:
+        j = at(u)
+        faults.setdefault(j, {}).update(
+            _fault(kind, j, lay, method.rho, amount))
+    audited = program if bad is None else _WrongRestriction(program, bad)
+    fast = TrajectoryAuditor(audited, method.rho)
+    slow = _PerRoundAuditor(audited, method.rho)
+    got, want = _replay([fast, slow], method, out, faults,
+                        peek={at(u) for u in peek})
+    assert got == want
+
+
+def test_active_round_fault_raises_like_per_round_audit():
+    method, program, out = _clean_run(3)
+    lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
+    faults = {6: _fault("off_grid", 6, lay, method.rho, 3.3)}
+    fast = TrajectoryAuditor(program, method.rho)
+    slow = _PerRoundAuditor(program, method.rho)
+    got, want = _replay([fast, slow], method, out, faults)
+    assert got == want
+    error, _ = got
+    assert error is not None and error[:2] == (6, "_CountError")
