@@ -517,17 +517,20 @@ def _clean_run(seed: int):
     return method, program, out
 
 
-def _replay(auditors, method, out, faults, peek=()):
+def _replay(auditors, method, out, faults, peek=(), preset=None):
     """Feed recorded rounds to the auditors, with injected faulty writes.
 
     `faults` maps a round to extra {index: response} entries; each is
     applied to the parameters like any other response entry (a clock
     entry replaces the round's own).  `peek` lists rounds after which
-    `audit` is read mid-run.  An auditor whose hook raises gets no
-    further rounds; its outcome is the error with the audit it left.
+    `audit` is read mid-run.  `preset` maps indices to values set before
+    round 1, as an init may set them.  An auditor whose hook raises gets
+    no further rounds; its outcome is the error with the audit it left.
     """
     D = _dist()
     w = method.model.init(out.init_bits).copy()
+    for idx, v in (preset or {}).items():
+        w[idx] = v
     errors = [None] * len(auditors)
     for rec in out.transcript.records:
         response = dict(rec.response)
@@ -571,6 +574,8 @@ def _fault(kind, j, lay, rho, amount):
         return {lay.start(2): amount * rho, lay.r - 1: 0.5}
     if kind == "frozen_pad":
         return {lay.start(j - 3) + lay.p - 1: amount * rho}
+    if kind == "erase":
+        return {lay.start(j) + c: 0.0 for c in range(lay.p)}
     raise ValueError(kind)
 
 
@@ -691,14 +696,15 @@ def test_replay_errors_match_per_round_audit(bad):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.sampled_from([2, 3]),
        picks=st.lists(st.tuples(
-           st.sampled_from(FAULTS),
+           st.sampled_from(FAULTS + ["erase"]),
            st.floats(0.0, 1.0), st.sampled_from([0.25, 1.0, 3.3, 5.0])),
            min_size=0, max_size=4),
        peek=st.lists(st.floats(0.0, 1.0), max_size=2),
        bad=st.sampled_from([None, 1, 2, 5, 6]))
 def test_whole_run_fault_mixes_match_per_round_audit(seed, picks, peek, bad):
     # faults land in active rounds and the first pad rounds; an off-grid
-    # write into an active block can make the program raise mid-run
+    # write into an active block can make the program raise mid-run, and
+    # an erased one leaves the block at zero, away from its batch average
     method, program, out = _clean_run(seed)
     lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
     first = 5
@@ -730,3 +736,33 @@ def test_active_round_fault_raises_like_per_round_audit():
     assert got == want
     error, _ = got
     assert error is not None and error[:2] == (6, "_CountError")
+
+
+def test_erased_active_block_matches_per_round_audit():
+    method, program, out = _clean_run(2)
+    lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
+    faults = {j: _fault("erase", j, lay, method.rho, 1.0) for j in (11, 14)}
+    fast = TrajectoryAuditor(program, method.rho)
+    slow = _PerRoundAuditor(program, method.rho)
+    got, want = _replay([fast, slow], method, out, faults)
+    assert got == want
+    assert any(v.startswith("round 11 response sits")
+               for v in fast.audit.violations)
+
+
+@pytest.mark.parametrize("amount", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("where", ["active", "first_pad", "late_pad"])
+def test_blocks_set_before_round_1_match_per_round_audit(where, amount):
+    # an init may set a round block; the audit must see it from round 1
+    method, program, out = _clean_run(2)
+    lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
+    t = {"active": 6, "first_pad": _pad_range(method, program, out),
+         "late_pad": method.T - 5}[where]
+    preset = {lay.start(t) + 1: amount * method.rho}
+    fast = TrajectoryAuditor(program, method.rho)
+    slow = _PerRoundAuditor(program, method.rho)
+    got, want = _replay([fast, slow], method, out, {}, preset=preset)
+    assert got == want
+    if amount == 4.0:
+        assert any(v.startswith(f"round {t} response sits")
+                   for v in fast.audit.violations)
