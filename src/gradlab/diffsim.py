@@ -569,21 +569,23 @@ class TrajectoryAudit:
         return not self.violations
 
 
-class _PadLog:
-    """Pad rounds recorded by the auditor, awaiting their checks.
+class _RoundLog:
+    """Rounds recorded by the auditor, awaiting their checks.
 
-    `base` holds the parameters as they stood before the first logged
-    round.  A compiled pad round writes only its own clock, so a logged
-    round's block is `base`'s, changed only by writes that logged
-    responses made elsewhere; those few are kept with the value they
-    left behind.
+    `base` holds the parameters as they stood after round 1.  A round
+    writes its own block, so a logged round's block is `base`'s, changed
+    only by the writes that logged responses made away from their
+    clocks; those are kept with the value they left behind.  Active
+    rounds also keep their query's batch average (pad rounds: zero).
     """
 
-    def __init__(self, base: np.ndarray, first: int):
+    def __init__(self, base: np.ndarray):
         self.base = base
-        self.first = first
+        self.first = 1
         self.kappas: list[float] = []
+        self.avgs: list[tuple[int, np.ndarray]] = []
         self.writes: list[tuple[int, list[tuple[int, float | None]]]] = []
+        self.found: list[tuple[int, int, str]] = []
 
     def note_writes(self, i: int, response, top: int, w: np.ndarray) -> None:
         if not isinstance(response, dict):
@@ -601,38 +603,34 @@ class TrajectoryAuditor:
     touch only the active block (everything else stays frozen at its
     initial or recorded value by induction); the active query slots
     must sit within 3*rho of the true batch average of the round's
-    query; the active clock must have fired to at least rho; recorded
-    responses must lie on the response grid.  The final round triggers
-    a full parameter sweep against per-round block snapshots.
+    query (zero for the pad rounds after the program has finished); the
+    active clock must have fired to at least rho; recorded responses
+    must lie on the response grid.  The final round triggers a full
+    parameter sweep against the recorded blocks.
 
-    Rounds after the program has finished are pad rounds.  The hook
-    only records them (clock, heavy-label count, any write away from
-    the clock) and checks them all in one pass at the final round, or
-    whenever `audit` is read, with the same findings in the same order.
+    The hook records every round (clock, heavy-label count, any write
+    away from the clock, the batch average of an active round's query)
+    and feeds the replay; all the checks run in one pass over the
+    recorded rounds at the final round, or whenever `audit` is read,
+    with findings in round order.
     """
 
     def __init__(self, prog: QueryProgram, rho: float):
         self.prog = prog
         self.rho = float(rho)
-        self.eps = 2.0 * self.rho
         self.layout = _Layout(r=prog.random_bits, p=prog.arity,
                               T=prog.rounds)
         self._audit = TrajectoryAudit(rho=self.rho)
         self._cursor: _ProgramCursor | None = None
-        self._blocks: dict[int, tuple[np.ndarray, float] | None] = {}
-        self._pad_blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self._pads: _PadLog | None = None
+        self._log: _RoundLog | None = None
+        self._blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._bits: tuple[float, ...] | None = None
-        self._finished = False
 
     @property
     def audit(self) -> TrajectoryAudit:
-        """Findings so far, with every recorded pad round checked."""
-        self._check_pads()
+        """Findings so far, with every recorded round checked."""
+        self._check()
         return self._audit
-
-    def _flag(self, message: str) -> None:
-        self._audit.violations.append(message)
 
     def hook(self, info: BSGDRoundInfo) -> None:
         lay = self.layout
@@ -640,100 +638,59 @@ class TrajectoryAuditor:
         w = info.w
         audit = self._audit
         if i == 1:
-            self._check_pads()
+            self._check()
             self._bits = tuple(w[:lay.r].tolist())
             self._cursor = _ProgramCursor(
                 self.prog, tuple(map(round, self._bits)))
-            self._blocks = {}
-            self._pad_blocks = []
-            self._pads = None
-            self._finished = False
+            self._log = _RoundLog(w.copy())
+            self._blocks = []
             audit.trials += 1
         audit.rounds += 1
+        log = self._log
+        top = lay.r + (lay.p + 1) * i - 1
+        response = info.response
+        if (type(response) is not dict or len(response) != 1
+                or top not in response):
+            log.note_writes(i, response, top, w)
+        cur = self._cursor
+        query = None
+        if cur.finished_at is None:
+            try:
+                query = cur.query(i)
+            except TrajectoryError as err:
+                log.found.append((i, 1, str(err)))
+                return
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
         heavy = [ex.y for ex in info.batch].count(i % 2)
-        log = self._pads
-        if log is not None and i == log.first + len(log.kappas):
-            top = lay.r + (lay.p + 1) * i - 1
-            log.kappas.append(float(w[top]))
-            response = info.response
-            if (type(response) is not dict or len(response) != 1
-                    or top not in response):
-                log.note_writes(i, response, top, w)
-            audit.pad_rounds += 1
-            audit.clip_activations += heavy
-            if i == lay.T:
-                self._check_pads()
-                self._final_sweep(w)
-            return
-        self._check_pads()
-        base = lay.start(i)
-        top = base + lay.p
-        response = info.response
-        if not isinstance(response, dict):
-            response = {j: float(v) for j, v in enumerate(response)}
-        for idx, v in response.items():
-            if v != 0.0 and not base <= idx <= top:
-                self._flag(f"round {i} wrote parameter {idx} outside its "
-                           f"block [{base}, {top}]")
-        theta = w[base:top]
-        kappa = float(w[top])
-        query = None
-        if not self._finished:
-            try:
-                query = self._cursor.query(i)
-            except TrajectoryError as err:
-                self._flag(str(err))
-                return
-            if query is None:
-                self._finished = True
-        touched = bool(theta.any())
         if query is None:
             audit.pad_rounds += 1
-            gap = float(np.max(np.abs(theta))) if touched else 0.0
         else:
             audit.active_rounds += 1
             vals = [query.evaluate(ex) for ex in info.batch]
-            avg = np.mean(vals, axis=0) if vals else np.zeros(lay.p)
-            gap = float(np.max(np.abs(theta - avg))) if lay.p else 0.0
-        audit.max_response_gap = max(audit.max_response_gap, gap)
-        if gap > 3.0 * self.rho + 1e-12:
-            self._flag(f"round {i} response sits {gap:.3g} from the batch "
-                       f"average, above 3*rho = {3 * self.rho}")
-        if kappa < audit.min_clock_after_fire:
-            audit.min_clock_after_fire = kappa
-        if kappa < self.rho:
-            self._flag(f"round {i} clock reached only {kappa}, below rho")
-        if touched:
-            snapped = round_nearest_multiple(theta, self.rho)
-            drift = float(np.max(np.abs(theta - snapped))) if lay.p else 0.0
-            if drift > audit.max_snap_distance:
-                audit.max_snap_distance = drift
-            self._blocks[i] = (theta.copy(), kappa)
-        else:
-            snapped = None
-            self._blocks[i] = (None, kappa)
+            log.avgs.append((len(log.kappas), np.mean(vals, axis=0) if vals
+                             else np.zeros(lay.p)))
+        log.kappas.append(float(w[top]))
         audit.clip_activations += heavy
         if query is not None:
-            self._cursor.feed(
-                i, snapped if snapped is not None else np.zeros(lay.p))
-        elif i < lay.T:
-            self._pads = _PadLog(w.copy(), i + 1)
+            theta = w[top - lay.p:top]
+            cur.feed(i, round_nearest_multiple(theta, self.rho)
+                     if theta.any() else np.zeros(lay.p))
         if i == lay.T:
+            self._check()
             self._final_sweep(w)
 
-    def _check_pads(self) -> None:
-        """Run the per-round checks on every logged pad round at once."""
-        log = self._pads
-        if log is None or not log.kappas:
+    def _check(self) -> None:
+        """Run every check on the rounds recorded since the last one."""
+        log = self._log
+        if log is None or not (log.kappas or log.writes or log.found):
             return
         lay = self.layout
         p, stride = lay.p, lay.p + 1
         first, k = log.first, len(log.kappas)
-        found = []
-        theta = log.base[lay.start(first):lay.start(first) + stride * k]
-        theta = theta.reshape(k, stride)[:, :p].copy()
+        found = log.found
+        s = lay.start(first)
+        theta = log.base[s:s + stride * k].reshape(k, stride)[:, :p].copy()
         for t, writes in log.writes:
             base = lay.start(t)
             top = base + p
@@ -751,58 +708,65 @@ class TrajectoryAuditor:
         kappa = np.array(log.kappas)
         gap = np.zeros(k)
         drift = np.zeros(k)
-        touched = np.flatnonzero(theta.any(axis=1))
-        if touched.size:
-            blocks = theta[touched]
-            gap[touched] = np.abs(blocks).max(axis=1)
-            drift[touched] = np.abs(
+        touched = theta.any(axis=1)
+        avg = np.zeros((k, p))
+        active = np.zeros(k, dtype=bool)
+        for row, a in log.avgs:
+            avg[row] = a
+            active[row] = True
+        rows = np.flatnonzero(touched | active)
+        if p and rows.size:
+            gap[rows] = np.abs(theta[rows] - avg[rows]).max(axis=1)
+        rows = np.flatnonzero(touched)
+        if rows.size:
+            blocks = theta[rows]
+            drift[rows] = np.abs(
                 blocks - round_nearest_multiple(blocks, self.rho)).max(axis=1)
         audit = self._audit
-        # NaN never wins a comparison, as in the per-round updates
+        # NaN never wins a comparison, as in per-round updates
         top_gap = gap[gap == gap]
         if top_gap.size and top_gap.max() > audit.max_response_gap:
             audit.max_response_gap = float(top_gap.max())
         top_drift = drift[drift == drift]
         if top_drift.size and top_drift.max() > audit.max_snap_distance:
             audit.max_snap_distance = float(top_drift.max())
-        low = int(np.argmin(np.where(kappa == kappa, kappa, np.inf)))
-        if kappa[low] < audit.min_clock_after_fire:
-            audit.min_clock_after_fire = log.kappas[low]
+        if k:
+            low = int(np.argmin(np.where(kappa == kappa, kappa, np.inf)))
+            if kappa[low] < audit.min_clock_after_fire:
+                audit.min_clock_after_fire = log.kappas[low]
         for row in np.flatnonzero(gap > 3.0 * self.rho + 1e-12).tolist():
-            found.append((first + row, 1,
+            found.append((first + row, 2,
                           f"round {first + row} response sits "
                           f"{float(gap[row]):.3g} from the batch average, "
                           f"above 3*rho = {3 * self.rho}"))
         for row in np.flatnonzero(kappa < self.rho).tolist():
-            found.append((first + row, 2,
+            found.append((first + row, 3,
                           f"round {first + row} clock reached only "
                           f"{log.kappas[row]}, below rho"))
         found.sort(key=lambda f: f[:2])
         audit.violations.extend(f[2] for f in found)
-        self._pad_blocks.append((first, theta, kappa))
+        self._blocks.append((first, theta, kappa))
         log.first += k
         log.kappas = []
+        log.avgs = []
         log.writes = []
+        log.found = []
 
     def _final_sweep(self, w: np.ndarray) -> None:
         lay = self.layout
         stride = lay.p + 1
         expect = np.zeros(lay.dim)
         expect[:lay.r] = self._bits
-        for t, (theta, kappa) in self._blocks.items():
-            if theta is not None:
-                s = lay.start(t)
-                expect[s:s + lay.p] = theta
-            expect[lay.kappa_index(t)] = kappa
-        for first, theta, kappa in self._pad_blocks:
+        for first, theta, kappa in self._blocks:
             s = lay.start(first)
             view = expect[s:s + stride * len(kappa)].reshape(-1, stride)
             view[:, :lay.p] = theta
             view[:, lay.p] = kappa
         mismatch = np.flatnonzero(np.abs(w - expect) > 1e-12)
         for idx in mismatch[:8]:
-            self._flag(f"parameter {int(idx)} ended at {w[idx]!r}, expected "
-                       f"{expect[idx]!r}: some round touched a frozen block")
+            self._audit.violations.append(
+                f"parameter {int(idx)} ended at {w[idx]!r}, expected "
+                f"{expect[idx]!r}: some round touched a frozen block")
 
     def check(self) -> TrajectoryAudit:
         audit = self.audit

@@ -746,17 +746,10 @@ def _inline(builder: CircuitBuilder, circuit: Circuit) -> dict[str, str]:
             raise ValueError(f"unknown source wire {w!r}")
         local[w] = w
     for gate in circuit.gates:
-        args = [local[a] for a in gate.args]
-        if gate.op == "not":
-            local[gate.name] = builder.not_(args[0])
-        elif gate.op == "and":
-            local[gate.name] = builder.and_(args[0], args[1])
-        elif gate.op == "or":
-            local[gate.name] = builder.or_(args[0], args[1])
-        elif gate.op in ("true", "false"):
-            local[gate.name] = builder._emit(gate.op)
-        else:
-            raise ValueError(f"unknown op {gate.op!r}")
+        if len(gate.args) != _GATE_ARITY.get(gate.op, -1):
+            raise ValueError(f"bad gate {gate!r}")
+        local[gate.name] = builder._emit(
+            gate.op, *(local[a] for a in gate.args))
     return local
 
 

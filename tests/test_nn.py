@@ -709,6 +709,19 @@ class TestProgramEmulation:
         assert digest == ("20bb71daf1c2759969647a603756c149"
                           "36bc2045988d9de33581196c7cab202d")
 
+    @pytest.mark.parametrize("gate", [Gate("g", "and", ("x0",)),
+                                      Gate("g", "not", ("x0", "x1")),
+                                      Gate("g", "xor", ("x0", "x1"))])
+    def test_malformed_gates_rejected_like_the_interpreter(self, gate):
+        bad = Circuit(inputs=("x0", "x1"), gates=(gate,), outputs=("g",))
+        with pytest.raises(ValueError) as want:
+            evaluate_circuit(bad, {"x0": True, "x1": False})
+        prog = dataclasses.replace(majority_mux_program(), output_circuit=bad)
+        with pytest.raises(ValueError) as got:
+            build_emulation_net(prog, 1 / 16)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("bad gate")
+
     def test_frozen_audit_mechanism(self):
         net, layout = build_emulation_net(constant_count_program(), 1 / 16)
         drive = layout.primaries[1]
