@@ -660,9 +660,6 @@ class TrajectoryAuditor:
             except TrajectoryError as err:
                 log.found.append((i, 1, str(err)))
                 return
-        # pre-update output is constant in x, so the per-example loss slope
-        # hits 1 + eps exactly on the off-label examples of the round
-        heavy = [ex.y for ex in info.batch].count(i % 2)
         if query is None:
             audit.pad_rounds += 1
         else:
@@ -671,7 +668,9 @@ class TrajectoryAuditor:
             log.avgs.append((len(log.kappas), np.mean(vals, axis=0) if vals
                              else np.zeros(lay.p)))
         log.kappas.append(float(w[top]))
-        audit.clip_activations += heavy
+        # pre-update output is constant in x, so the per-example loss slope
+        # hits 1 + eps exactly on the off-label examples of the round
+        audit.clip_activations += [ex.y for ex in info.batch].count(i % 2)
         if query is not None:
             theta = w[top - lay.p:top]
             cur.feed(i, round_nearest_multiple(theta, self.rho)
