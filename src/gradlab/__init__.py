@@ -50,7 +50,6 @@ from .paradigms import (
     MethodRun,
     ModelSnapshot,
     NoiseAdversary,
-    NonDifferentiableError,
     PACMethod,
     QueryRangeError,
     RestrictionError,

@@ -265,14 +265,6 @@ def _run_extract_stats(config: ExperimentConfig) -> ExperimentReport:
 # --- experiment: parity pipeline end to end -----------------------------
 
 
-def _parity_distribution(n: int) -> FiniteDistribution:
-    entries = []
-    for code in range(1 << n):
-        x = tuple((code >> (n - 1 - k)) & 1 for k in range(n))
-        entries.append((Example(x, sum(x) % 2), 1.0 / (1 << n)))
-    return FiniteDistribution(n, entries)
-
-
 def _run_parity_end_to_end(config: ExperimentConfig) -> ExperimentReport:
     p = config.params
     n = int(p.get("n", 2))
@@ -282,7 +274,7 @@ def _run_parity_end_to_end(config: ExperimentConfig) -> ExperimentReport:
     delta = float(p.get("delta", 0.1))
     config.require(b * 4 * rho < 0.5,
                    f"pipeline needs b*4*rho < 1/2, got {b * 4 * rho}")
-    D = config.load_distribution(_parity_distribution(n))
+    D = config.load_distribution(FiniteDistribution.parity(n, (1,) * n))
     spec = config.method or {
         "pipeline": ["pac_to_bsq", "bsq_alternating", "diffsim"],
         "payload": "parity",
@@ -503,7 +495,7 @@ def _run_reduction_matrix(config: ExperimentConfig) -> ExperimentReport:
     delta = float(p.get("delta", 0.3))
     config.require(b * tau < 0.5,
                    f"reduction stack needs b*tau < 1/2, got {b * tau}")
-    D = config.load_distribution(_parity_distribution(n))
+    D = config.load_distribution(FiniteDistribution.parity(n, (1,) * n))
     stage_lists = config.method or [
         ["pac_to_bsq"],
         ["pac_to_bsq", "bsq_alternating"],

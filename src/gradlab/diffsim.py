@@ -34,7 +34,7 @@ from .paradigms import (
     SQQuery,
     run_bsgd,
 )
-from .problems import SQUARE_LOSS, Example, FiniteDistribution, SquareLoss
+from .problems import SQUARE_LOSS, Example, FiniteDistribution
 
 __all__ = [
     "ClockRegionError",
@@ -143,12 +143,12 @@ def build_single_query_model(query: SQQuery,
             return inner + float(w[p]) - epsilon
         return 1.0 - inner - float(w[p]) + epsilon
 
-    def gradient(w: np.ndarray, ex: Example, loss: SquareLoss) -> np.ndarray:
+    def gradient(w: np.ndarray, ex: Example) -> np.ndarray:
         feats = features(ex.x)
         inner = float(feats @ w[:p])
         f = inner + float(w[p]) - epsilon if one \
             else 1.0 - inner - float(w[p]) + epsilon
-        lp = loss.derivative(f, float(ex.y))
+        lp = SQUARE_LOSS.derivative(f, float(ex.y))
         g = np.empty(p + 1)
         g[:p] = lp * sign * feats
         g[p] = lp * sign
@@ -426,7 +426,7 @@ class _CompiledCore:
             return inner + kap - self.eps
         return 1.0 - inner - kap + self.eps
 
-    def pad_tail(self, w: np.ndarray, loss: SquareLoss) -> PadTail | None:
+    def pad_tail(self, w: np.ndarray) -> PadTail | None:
         """Closed form of the pad rounds from the active one on.
 
         Past the program's finish a round's gradient is its clock's
@@ -435,12 +435,8 @@ class _CompiledCore:
         round of a run trains per example.  Rounds after the active one
         stay pad rounds while their clock and the next one are cold,
         which is what the clock scan checks on the way; the tail stops
-        before the first round that would fail it.  The closed form
-        applies the square loss's derivative to arrays, so other losses
-        get None and train per example.
+        before the first round that would fail it.
         """
-        if type(loss) is not SquareLoss:
-            return None
         cur, i = self._locate(w)
         lay = self.layout
         if not 1 < i <= lay.T:
@@ -463,13 +459,12 @@ class _CompiledCore:
         f = np.where(odd, kap - self.eps, 1.0 - kap + self.eps)
 
         def clipped(y: float) -> np.ndarray:
-            d = loss.derivative(f, y)
+            d = SQUARE_LOSS.derivative(f, y)
             return np.clip(np.where(odd, d, -d), -1.0, 1.0)
 
         return PadTail(coords, clipped(0.0), clipped(1.0), self.rho)
 
-    def gradient(self, w: np.ndarray, ex: Example,
-                 loss: SquareLoss) -> dict[int, float]:
+    def gradient(self, w: np.ndarray, ex: Example) -> dict[int, float]:
         cur, i = self._locate(w)
         lay = self.layout
         if i == lay.T + 1:
@@ -482,11 +477,11 @@ class _CompiledCore:
         if q is None:
             # past the program's finish: a pure clock-advancing pad round
             f = kap - self.eps if odd else 1.0 - kap + self.eps
-            return {kidx: loss.derivative(f, float(ex.y)) * sign}
+            return {kidx: SQUARE_LOSS.derivative(f, float(ex.y)) * sign}
         feats = q.evaluate(Example(ex.x, 1 if odd else 0))
         inner = float(feats @ lay.theta(w, i))
         f = inner + kap - self.eps if odd else 1.0 - inner - kap + self.eps
-        lp = loss.derivative(f, float(ex.y))
+        lp = SQUARE_LOSS.derivative(f, float(ex.y))
         base = lay.start(i)
         g = {base + j: lp * sign * float(v)
              for j, v in enumerate(feats) if v != 0.0}
@@ -550,11 +545,6 @@ class TrajectoryAudit:
     def tight_snap_bound(self) -> float:
         """Enforced drift allowance: an eighth of the response grid."""
         return self.rho / 8.0
-
-    @property
-    def loose_snap_bound(self) -> float:
-        """Weaker allowance from the grid's own quarter-step agreement."""
-        return self.rho / 4.0
 
     @property
     def binding_bound(self) -> str:
@@ -793,8 +783,7 @@ def train_audited(model: DiffModel, prog: QueryProgram,
 
 
 def central_loss_fd(model: DiffModel, w: np.ndarray, ex: Example, coord: int,
-                    h: float = 1e-6,
-                    loss: SquareLoss = SQUARE_LOSS) -> float:
+                    h: float = 1e-6) -> float:
     """Symmetric finite difference of the per-example loss along one axis.
 
     Falls back to a one-sided difference when a probe direction lands in
@@ -804,12 +793,12 @@ def central_loss_fd(model: DiffModel, w: np.ndarray, ex: Example, coord: int,
     def at(delta: float) -> float:
         probe = w.copy()
         probe[coord] += delta
-        return loss.value(model.value(probe, ex.x), float(ex.y))
+        return SQUARE_LOSS.value(model.value(probe, ex.x), float(ex.y))
 
     try:
         return (at(h) - at(-h)) / (2.0 * h)
     except ClockRegionError:
-        center = loss.value(model.value(w, ex.x), float(ex.y))
+        center = SQUARE_LOSS.value(model.value(w, ex.x), float(ex.y))
         try:
             return (at(h) - center) / h
         except ClockRegionError:
@@ -818,8 +807,7 @@ def central_loss_fd(model: DiffModel, w: np.ndarray, ex: Example, coord: int,
 
 def gradient_check(model: DiffModel, w: np.ndarray, ex: Example,
                    coords=None, h: float = 1e-6, rtol: float = 1e-5,
-                   zero_tol: float = 1e-7,
-                   loss: SquareLoss = SQUARE_LOSS) -> dict:
+                   zero_tol: float = 1e-7) -> dict:
     """Compare analytic per-example gradients against finite differences.
 
     Coordinates the model reports (nonzero analytic value) must match
@@ -827,7 +815,7 @@ def gradient_check(model: DiffModel, w: np.ndarray, ex: Example,
     must show a finite difference no larger than `zero_tol`.  Returns a
     summary dict; raises AssertionError on the first failure.
     """
-    g = model.loss_gradient(w, ex, loss)
+    g = model.loss_gradient(w, ex)
     if isinstance(g, dict):
         dense = {int(k): float(v) for k, v in g.items()}
     else:
@@ -839,7 +827,7 @@ def gradient_check(model: DiffModel, w: np.ndarray, ex: Example,
     worst_zero = 0.0
     checked = 0
     for j in coords:
-        fd = central_loss_fd(model, w, ex, j, h, loss)
+        fd = central_loss_fd(model, w, ex, j, h)
         analytic = dense.get(j, 0.0)
         checked += 1
         if analytic != 0.0:

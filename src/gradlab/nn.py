@@ -21,7 +21,7 @@ import numpy as np
 
 from .numerics import RoundingOracle, grid_exponent
 from .paradigms import DiffModel, MethodRun, run_bsgd, run_fbgd
-from .problems import SQUARE_LOSS, Batch, FiniteDistribution, SquareLoss
+from .problems import SQUARE_LOSS, Batch, FiniteDistribution
 
 __all__ = [
     "CONST",
@@ -247,9 +247,8 @@ class NeuralNet:
         a, _ = self._activations(x)
         return float(a[self._output])
 
-    def gradient(self, x, y: float,
-                 loss: SquareLoss = SQUARE_LOSS) -> np.ndarray:
-        """d loss / d weight for one example, dense over edge indices.
+    def gradient(self, x, y: float) -> np.ndarray:
+        """d square loss / d weight for one example, dense over edges.
 
         Reverse accumulation; a vertex sitting on a shelf contributes
         exact zeros, both to its own in-edges and to everything
@@ -260,7 +259,8 @@ class NeuralNet:
         a, z = self._activations(x)
         w = self.weights
         bar = np.zeros(len(self.names))
-        bar[self._output] = loss.derivative(float(a[self._output]), float(y))
+        bar[self._output] = SQUARE_LOSS.derivative(float(a[self._output]),
+                                                   float(y))
         grad = np.zeros(self.n_edges)
         src = self.edge_src
         for v in reversed(self._order()):
@@ -311,9 +311,9 @@ def as_model(net: NeuralNet, name: str = "net") -> DiffModel:
         net.set_weights(w)
         return net.value(x)
 
-    def loss_gradient(w, ex, loss):
+    def loss_gradient(w, ex):
         net.set_weights(w)
-        return net.gradient(ex.x, float(ex.y), loss)
+        return net.gradient(ex.x, float(ex.y))
 
     return DiffModel(dim=net.n_edges, random_bits=0, init=init,
                      value=value, loss_gradient=loss_gradient, name=name)
@@ -321,14 +321,14 @@ def as_model(net: NeuralNet, name: str = "net") -> DiffModel:
 
 def train_on_batches(net: NeuralNet, batches: Sequence[Batch], *, rho: float,
                      gamma: float = 2.0,
-                     rounding: RoundingOracle | None = None,
-                     loss: SquareLoss = SQUARE_LOSS) -> list[MethodRun]:
+                     rounding: RoundingOracle | None = None
+                     ) -> list[MethodRun]:
     """One full-batch descent step per listed batch, mutating the net."""
     model = as_model(net)
     runs = []
     for S in batches:
         run = run_fbgd(model, S, T=1, rho=rho, gamma=gamma,
-                       rounding=rounding, record=True, loss=loss)
+                       rounding=rounding, record=True)
         net.set_weights(run.final_params)
         runs.append(run)
     return runs
@@ -485,7 +485,11 @@ def build_circuit_gadget(net: NeuralNet, circuit: Circuit,
     input beyond the outer breakpoints, so all local derivatives are
     exactly 0, the created edges can never move, and no gradient leaks
     through them to the source vertices.  Returns wire name -> vertex.
+    A malformed gate raises before the net is touched.
     """
+    for gate in circuit.gates:
+        if len(gate.args) != _GATE_ARITY.get(gate.op, -1):
+            raise ValueError(f"bad gate {gate!r}")
     wiremap: dict[str, str] = {}
     for wire in circuit.inputs:
         spec = sources[wire]
@@ -513,10 +517,8 @@ def build_circuit_gadget(net: NeuralNet, circuit: Circuit,
             net.add_edge("one", v, bias, trainable=False)
         elif gate.op == "true":
             net.add_edge("one", v, 4.0, trainable=False)
-        elif gate.op == "false":
-            net.add_edge("one", v, -4.0, trainable=False)
         else:
-            raise ValueError(f"unknown op {gate.op!r}")
+            net.add_edge("one", v, -4.0, trainable=False)
         wiremap[gate.name] = v
     return wiremap
 
@@ -759,9 +761,7 @@ def _single_output(circuit: Circuit, what: str) -> str:
     return circuit.outputs[0]
 
 
-def build_emulation_net(prog: EmulationProgram, tau: float,
-                        rounds: int | None = None,
-                        arity: int | None = None
+def build_emulation_net(prog: EmulationProgram, tau: float
                         ) -> tuple[NeuralNet, EmulationLayout]:
     """Compile a circuit-form program into a trainable net.
 
@@ -787,10 +787,6 @@ def build_emulation_net(prog: EmulationProgram, tau: float,
     T = prog.rounds
     p = prog.arity
     n = prog.n_inputs
-    if rounds is not None and rounds != T:
-        raise ValueError(f"rounds={rounds} but program has {T}")
-    if arity is not None and arity != p:
-        raise ValueError(f"arity={arity} but program has {p}")
     if not 1 <= T <= 4:
         raise ValueError("1 to 4 rounds supported")
     if not 1 <= p <= 4:

@@ -29,11 +29,9 @@ from .numerics import (
     round_approximate,
 )
 from .problems import (
-    SQUARE_LOSS,
     Batch,
     Example,
     FiniteDistribution,
-    SquareLoss,
     ZeroPredictor,
     ParityPredictor,
     clip_predictor,
@@ -46,7 +44,6 @@ __all__ = [
     "NoiseAdversary",
     "QueryRangeError",
     "RestrictionError",
-    "NonDifferentiableError",
     "SQQuery",
     "constant_zero_query",
     "RoundRecord",
@@ -87,10 +84,6 @@ class QueryRangeError(ValueError):
 
 class RestrictionError(ValueError):
     """A label-restricted query returned a nonzero value on the wrong label."""
-
-
-class NonDifferentiableError(RuntimeError):
-    """A gradient was requested where the model declares none."""
 
 
 class LabelRestriction(Enum):
@@ -454,13 +447,15 @@ class PadTail:
 class DiffModel:
     """A parametric model exposing value and per-example loss gradients.
 
-    loss_gradient returns either a dense vector of length dim or a
-    sparse {index: value} dict whose missing entries are exactly zero.
-    Sparse returns are reserved for models that can certify the
+    loss_gradient(w, ex) is the gradient in w of the square loss of
+    value(w, ex.x) against ex.y, the one loss every construction here
+    is worked out for.  It returns either a dense vector of length dim
+    or a sparse {index: value} dict whose missing entries are exactly
+    zero.  Sparse returns are reserved for models that can certify the
     missing coordinates vanish identically, so a valid rounding of them
     is forced to zero and dense and sparse training coincide.
 
-    pad_tail, when given, maps (w, loss) to the PadTail starting at the
+    pad_tail, when given, maps w to the PadTail starting at the
     active round, or None when that round needs per-example gradients;
     the runners then take the whole tail in one pass, with the same
     result as clipping and summing every example of every round.
@@ -470,9 +465,9 @@ class DiffModel:
     random_bits: int
     init: Callable[[tuple[int, ...]], np.ndarray]
     value: Callable[[np.ndarray, tuple[int, ...]], float]
-    loss_gradient: Callable[[np.ndarray, Example, SquareLoss], object]
+    loss_gradient: Callable[[np.ndarray, Example], object]
     name: str = ""
-    pad_tail: Callable[[np.ndarray, SquareLoss], PadTail | None] | None = None
+    pad_tail: Callable[[np.ndarray], PadTail | None] | None = None
 
 
 @dataclass(eq=False)
@@ -509,9 +504,8 @@ def _draw_init_bits(seed: int, r: int) -> tuple[int, ...]:
     return tuple(rng.integers(0, 2, size=r).tolist())
 
 
-def _clipped_gradient(model: DiffModel, w: np.ndarray, ex: Example,
-                      loss: SquareLoss) -> object:
-    g = model.loss_gradient(w, ex, loss)
+def _clipped_gradient(model: DiffModel, w: np.ndarray, ex: Example) -> object:
+    g = model.loss_gradient(w, ex)
     if isinstance(g, dict):
         return {i: (-1.0 if v < -1.0 else (1.0 if v > 1.0 else v))
                 for i, v in g.items()}
@@ -529,15 +523,17 @@ def _round_sparse(avg: dict[int, float], rho: float,
 
 
 def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
-                   rho: float, gamma: float, rounding: RoundingOracle,
-                   loss: SquareLoss) -> tuple[object, object]:
-    """Clip per example, average, round; returns (avg, response)."""
+                   rho: float, gamma: float, rounding: RoundingOracle
+                   ) -> tuple[list, object, object]:
+    """Clip per example, average, round; returns (grads, avg, response).
+
+    `grads` are the clipped per-example gradients, summed in batch order.
+    """
     b = len(items)
-    first = _clipped_gradient(model, w, items[0], loss)
-    if isinstance(first, dict):
-        acc = dict(first)
-        for ex in items[1:]:
-            g = _clipped_gradient(model, w, ex, loss)
+    grads = [_clipped_gradient(model, w, ex) for ex in items]
+    if isinstance(grads[0], dict):
+        acc = dict(grads[0])
+        for g in grads[1:]:
             for i, v in g.items():
                 acc[i] = acc.get(i, 0.0) + v
         avg = {i: v / b for i, v in acc.items()}
@@ -545,14 +541,14 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
         for i, v in response.items():
             if v != 0.0:
                 w[i] -= gamma * v
-        return avg, response
-    acc = np.asarray(first, dtype=float).copy()
-    for ex in items[1:]:
-        acc += _clipped_gradient(model, w, ex, loss)
+        return grads, avg, response
+    acc = np.asarray(grads[0], dtype=float).copy()
+    for g in grads[1:]:
+        acc += g
     avg = acc / b
     response = round_approximate(avg, rho, rounding)
     w -= gamma * response
-    return avg, response
+    return grads, avg, response
 
 
 _PAD_SLICE = 1024
@@ -588,8 +584,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
                          T: int, rho: float, gamma: float,
                          rounding: RoundingOracle, seed: int, kind: str,
                          b: int, record: bool, record_items: bool,
-                         record_hashes: bool, loss: SquareLoss,
-                         hook) -> "MethodRun":
+                         record_hashes: bool, hook) -> "MethodRun":
     """Shared loop of run_bsgd and run_fbgd.
 
     `draw(k)` returns the next k batches as a (k, b) array of indices
@@ -641,7 +636,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
 
     t = 1
     while t <= T:
-        tail = model.pad_tail(w, loss) if model.pad_tail is not None else None
+        tail = model.pad_tail(w) if model.pad_tail is not None else None
         if tail is not None and len(tail.coords):
             if labels is None:
                 labels = np.array([ex.y for ex in pool])
@@ -669,12 +664,10 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
                     t += 1
             continue
         items = tuple([pool[i] for i in take(1)[0]])
-        if record and record_items:
-            item_grads = [_clipped_gradient(model, w, ex, loss) for ex in items]
-        else:
-            item_grads = None
-        avg, response = _gradient_step(model, w, items, rho, gamma, rounding, loss)
-        finish_round(t, items, avg, response, item_grads)
+        grads, avg, response = _gradient_step(model, w, items, rho, gamma,
+                                              rounding)
+        finish_round(t, items, avg, response,
+                     grads if record and record_items else None)
         t += 1
     transcript.random_bits_consumed = model.random_bits
     if kind == "fbgd":
@@ -688,8 +681,7 @@ def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
              b: int, gamma: float = 1.0,
              rounding: RoundingOracle | None = None, seed: int = 0,
              record: bool = True, record_items: bool = False,
-             record_hashes: bool = False,
-             loss: SquareLoss = SQUARE_LOSS, hook=None) -> "MethodRun":
+             record_hashes: bool = False, hook=None) -> "MethodRun":
     """Mini-batch SGD at precision rho with fresh hidden batches.
 
     Per round: draw b i.i.d. examples, clip each per-example gradient to
@@ -706,14 +698,13 @@ def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
 
     return _run_gradient_method(model, D.support, draw, T, rho, gamma,
                                 rounding, seed, "bsgd", b, record,
-                                record_items, record_hashes, loss, hook)
+                                record_items, record_hashes, hook)
 
 
 def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
              gamma: float = 1.0, rounding: RoundingOracle | None = None,
              seed: int = 0, record: bool = True, record_items: bool = False,
-             record_hashes: bool = False,
-             loss: SquareLoss = SQUARE_LOSS, hook=None) -> "MethodRun":
+             record_hashes: bool = False, hook=None) -> "MethodRun":
     """Full-batch gradient descent: every round reuses the frozen batch S."""
     if rounding is None:
         rounding = RoundingOracle()
@@ -725,7 +716,7 @@ def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
 
     return _run_gradient_method(model, items, draw, T, rho, gamma, rounding,
                                 seed, "fbgd", len(items), record, record_items,
-                                record_hashes, loss, hook)
+                                record_hashes, hook)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +891,6 @@ class SQMethod:
 
     k: int
     tau: float
-    r: int
     program: QueryProgram
     name: str = "sq"
 
@@ -923,15 +913,12 @@ class BSQMethod:
     k: int
     tau: float
     b: int
-    p: int
-    r: int
     program: QueryProgram
     name: str = "bsq"
-    alternating: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.b <= 0 or self.p <= 0:
-            raise ValueError("need k >= 0 and positive b, p")
+        if self.k < 0 or self.b <= 0 or self.program.arity <= 0:
+            raise ValueError("need k >= 0, positive b and program arity")
         _check_dyadic(self.tau)
 
     def run(self, D: FiniteDistribution, seed: int = 0,
@@ -940,7 +927,8 @@ class BSQMethod:
             **_: object) -> MethodRun:
         oracle = BSQOracle(D, self.b, self.tau, adversary, seed,
                            record=record, record_items=record_items)
-        return _drive_query_method(self.program, self.k, oracle, seed, self.p)
+        return _drive_query_method(self.program, self.k, oracle, seed,
+                                   self.program.arity)
 
 
 @dataclass(eq=False)
@@ -950,15 +938,12 @@ class FBSQMethod:
     k: int
     tau: float
     m: int
-    p: int
-    r: int
     program: QueryProgram
     name: str = "fbsq"
-    alternating: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.m <= 0 or self.p <= 0:
-            raise ValueError("need k >= 0 and positive m, p")
+        if self.k < 0 or self.m <= 0 or self.program.arity <= 0:
+            raise ValueError("need k >= 0, positive m and program arity")
         _check_dyadic(self.tau)
 
     def run(self, D: FiniteDistribution, seed: int = 0,
@@ -969,7 +954,8 @@ class FBSQMethod:
         batch = sample_batch(D, self.m, int(rng.integers(0, 1 << 62)))
         oracle = FBSQOracle(batch, self.tau, adversary, seed,
                             record=record, record_items=record_items)
-        out = _drive_query_method(self.program, self.k, oracle, seed, self.p)
+        out = _drive_query_method(self.program, self.k, oracle, seed,
+                                  self.program.arity)
         out.transcript.samples_consumed = self.m
         return out
 

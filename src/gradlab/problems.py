@@ -260,9 +260,10 @@ def clip_predictor(f) -> _ClippedPredictor:
     return _ClippedPredictor(f)
 
 
-def population_loss(D: FiniteDistribution, f, loss: SquareLoss = SQUARE_LOSS) -> float:
-    """Exact expected loss of predictor f under D."""
-    return float(sum(p * loss.value(f(ex.x), ex.y) for ex, p in D.entries))
+def population_loss(D: FiniteDistribution, f) -> float:
+    """Exact expected square loss of predictor f under D."""
+    return float(sum(p * SQUARE_LOSS.value(f(ex.x), ex.y)
+                     for ex, p in D.entries))
 
 
 def prefix_probability(D: FiniteDistribution, s) -> float:

@@ -39,7 +39,6 @@ from .paradigms import (
     parity_learner,
 )
 from .problems import (
-    SQUARE_LOSS,
     Example,
     FiniteDistribution,
     TablePredictor,
@@ -284,9 +283,7 @@ def pac_to_bsq(pac: PACMethod, b: int, tau: float, delta: float, n: int, *,
                                 learner=pac.learn, learner_bits=pac.r,
                                 alternating=alternating,
                                 name=f"extract-{pac.name}")
-    return BSQMethod(k=rounds, tau=tau, b=b, p=n + 1,
-                     r=program.random_bits, program=program,
-                     alternating=alternating,
+    return BSQMethod(k=rounds, tau=tau, b=b, program=program,
                      name=f"bsq[{pac.name}]")
 
 
@@ -307,9 +304,7 @@ def pac_to_fbsq(pac: PACMethod, m: int, tau: float, n: int, *,
                                 learner=pac.learn, learner_bits=pac.r,
                                 alternating=alternating, fixed_batch=True,
                                 name=f"fb-extract-{pac.name}")
-    return FBSQMethod(k=rounds, tau=tau, m=m, p=n + 1,
-                      r=program.random_bits, program=program,
-                      alternating=alternating,
+    return FBSQMethod(k=rounds, tau=tau, m=m, program=program,
                       name=f"fbsq[{pac.name}]")
 
 
@@ -343,8 +338,8 @@ def sq_to_bsq(sq: SQMethod, b: int, delta: float, *,
         program = _repeat(sq.program, q)
         tau = sq.tau / 2
         rounds = sq.k * q
-    return BSQMethod(k=rounds, tau=tau, b=b, p=1, r=sq.r, program=program,
-                     alternating=alternating, name=f"bsq[{sq.name}]")
+    return BSQMethod(k=rounds, tau=tau, b=b, program=program,
+                     name=f"bsq[{sq.name}]")
 
 
 def bsq_to_sq(bsq: BSQMethod, delta: float) -> SQMethod:
@@ -354,21 +349,22 @@ def bsq_to_sq(bsq: BSQMethod, delta: float) -> SQMethod:
     regime b*tau^2 >= 8*ln(4*k*p/delta); outside it the construction
     still runs (for regime sweeps) but warns.
     """
-    needed = 8.0 * math.log(4 * bsq.k * bsq.p / delta)
+    p = bsq.program.arity
+    needed = 8.0 * math.log(4 * bsq.k * p / delta)
     if bsq.b * bsq.tau ** 2 < needed:
         warnings.warn(
             f"population answers need b*tau^2 >= {needed:.3g}, "
             f"got {bsq.b * bsq.tau ** 2:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
     program = _scalarize(bsq.program, grid=None)
-    return SQMethod(k=bsq.k * bsq.p, tau=bsq.tau / 2, r=bsq.r,
-                    program=program, name=f"sq[{bsq.name}]")
+    return SQMethod(k=bsq.k * p, tau=bsq.tau / 2, program=program,
+                    name=f"sq[{bsq.name}]")
 
 
 def sq_split_alternating(sq: SQMethod) -> SQMethod:
     """Split every query into one-label halves on alternating rounds."""
     program = _label_split(sq.program, q=1)
-    return SQMethod(k=2 * sq.k, tau=sq.tau / 2, r=sq.r, program=program,
+    return SQMethod(k=2 * sq.k, tau=sq.tau / 2, program=program,
                     name=f"{sq.name}-split")
 
 
@@ -389,8 +385,8 @@ def sq_to_fbsq(sq: SQMethod, m: int, delta: float) -> FBSQMethod:
             f"got {m * tau * tau:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
     program = _snap(sq.program, grid=tau / 2)
-    return FBSQMethod(k=sq.k, tau=tau / 2, m=m, p=1, r=sq.r,
-                      program=program, name=f"fbsq[{sq.name}]")
+    return FBSQMethod(k=sq.k, tau=tau / 2, m=m, program=program,
+                      name=f"fbsq[{sq.name}]")
 
 
 def fbsq_to_sq(fbsq: FBSQMethod, delta: float) -> SQMethod:
@@ -401,16 +397,17 @@ def fbsq_to_sq(fbsq: FBSQMethod, delta: float) -> SQMethod:
     ln(4*p/delta)).
     """
     tau = fbsq.tau
-    needed = 32.0 * (fbsq.k * fbsq.p * math.log(4.0 / tau + 1.0)
-                     + math.log(4.0 * fbsq.p / delta))
+    p = fbsq.program.arity
+    needed = 32.0 * (fbsq.k * p * math.log(4.0 / tau + 1.0)
+                     + math.log(4.0 * p / delta))
     if fbsq.m * tau * tau < needed:
         warnings.warn(
             f"population answers need m*tau^2 >= {needed:.3g}, "
             f"got {fbsq.m * tau * tau:.3g}; proceeding without guarantee",
             RuntimeWarning, stacklevel=2)
     program = _scalarize(fbsq.program, grid=tau / 2)
-    return SQMethod(k=fbsq.k * fbsq.p, tau=tau / 2, r=fbsq.r,
-                    program=program, name=f"sq[{fbsq.name}]")
+    return SQMethod(k=fbsq.k * p, tau=tau / 2, program=program,
+                    name=f"sq[{fbsq.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +452,7 @@ class _GradientQueryRun:
         w_now = self.w.copy()
 
         def evaluate(example: Example) -> np.ndarray:
-            g = prog.model.loss_gradient(w_now, example, SQUARE_LOSS)
+            g = prog.model.loss_gradient(w_now, example)
             if isinstance(g, dict):
                 dense = np.zeros(prog.model.dim)
                 for idx, val in g.items():
@@ -486,8 +483,7 @@ def bsgd_to_bsq(model: DiffModel, T: int, rho: float, b: int,
     band of the descent rule.
     """
     program = _GradientQueryProgram(model, T, rho, gamma)
-    return BSQMethod(k=T, tau=rho / 4, b=b, p=model.dim,
-                     r=model.random_bits, program=program,
+    return BSQMethod(k=T, tau=rho / 4, b=b, program=program,
                      name=f"bsq[{model.name or 'model'}]")
 
 
@@ -683,7 +679,8 @@ def build_pipeline(spec, payload=None, **extra_params):
             rebuild_alternating = lambda pac=pac, b=b, tau=tau, n=n: \
                 pac_to_bsq(pac, b, tau, delta_stage, n, alternating=True)
             derived[stage] = {"k": current.k, "tau": tau, "b": b,
-                              "p": current.p, "r": current.r}
+                              "p": current.program.arity,
+                              "r": current.program.random_bits}
         elif stage == "pac_to_fbsq":
             if not isinstance(current, PACMethod):
                 raise PipelineError("pac_to_fbsq needs a sample-based payload")
@@ -695,7 +692,8 @@ def build_pipeline(spec, payload=None, **extra_params):
             rebuild_alternating = lambda pac=pac, m=m, tau=tau, n=n: \
                 pac_to_fbsq(pac, m, tau, n, alternating=True)
             derived[stage] = {"k": current.k, "tau": tau, "m": m,
-                              "p": current.p, "r": current.r}
+                              "p": current.program.arity,
+                              "r": current.program.random_bits}
         elif stage == "sq_to_bsq":
             if not isinstance(current, SQMethod):
                 raise PipelineError("sq_to_bsq needs a population-query method")
@@ -712,7 +710,8 @@ def build_pipeline(spec, payload=None, **extra_params):
                     "bsq_alternating must follow a batched-query stage")
             current = rebuild_alternating()
             rebuild_alternating = None
-            derived[stage] = {"k": current.k, "r": current.r}
+            derived[stage] = {"k": current.k,
+                              "r": current.program.random_bits}
         elif stage == "bsq_to_sq":
             if not isinstance(current, BSQMethod):
                 raise PipelineError("bsq_to_sq needs a batched-query method")

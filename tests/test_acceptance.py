@@ -263,7 +263,7 @@ def test_08_repeat_averaging_accuracy():
         rounds=k, arity=1, random_bits=0,
         query_generator=lambda t, bits, resp: queries[t - 1],
         final_predictor=lambda bits, resp: tuple(r[0] for r in resp))
-    sq = SQMethod(k=k, tau=tau, r=0, program=program)
+    sq = SQMethod(k=k, tau=tau, program=program)
     averaged = sq_to_bsq(sq, b=b, delta=delta)
     want_q = math.ceil(8.0 * math.log(4 * k / delta) / (b * tau * tau))
     assert repeat_count(k, b, tau, delta) == want_q == 1477

@@ -31,7 +31,6 @@ from gradlab.paradigms import (
     run_fbgd,
 )
 from gradlab.problems import (
-    SQUARE_LOSS,
     Example,
     FiniteDistribution,
     sample_batch,
@@ -170,8 +169,7 @@ class TestSingleQueryModel:
         q = SQQuery(arity=1, evaluator=lambda ex: np.array([1.0 - ex.y]),
                     restriction=LabelRestriction.ZERO_QUERY)
         model = build_single_query_model(q, epsilon=EPS)
-        g = np.asarray(model.loss_gradient(np.zeros(2), Example((0,), 0),
-                                           SQUARE_LOSS))
+        g = np.asarray(model.loss_gradient(np.zeros(2), Example((0,), 0)))
         assert g == pytest.approx([-(1 + EPS), -(1 + EPS)])
         assert np.array_equal(clip1(g), np.array([-1.0, -1.0]))
 
@@ -412,13 +410,13 @@ def pipeline_iterate(at: int):
 
 def answers(model, w, D):
     """Everything a model answers at w, its pad tail asked first."""
-    tail = model.pad_tail(w, SQUARE_LOSS)
+    tail = model.pad_tail(w)
     seen = [None if tail is None else
             (tail.coords.tolist(), tail.grad0.tobytes(), tail.grad1.tobytes(),
              tail.fire)]
     for ex in D.support:
         seen.append(repr(model.value(w, ex.x)))
-        g = model.loss_gradient(w, ex, SQUARE_LOSS)
+        g = model.loss_gradient(w, ex)
         seen.append(sorted((k, repr(v)) for k, v in g.items()))
     return seen
 
@@ -495,7 +493,7 @@ class TestPureFunctionOfParameters:
         with pytest.raises(error):
             model.value(w, (0, 0))
         with pytest.raises(error):
-            model.loss_gradient(w, Example((1, 0), 1), SQUARE_LOSS)
+            model.loss_gradient(w, Example((1, 0), 1))
 
     @pytest.mark.parametrize("value", [1.0, 0.75, float("nan")])
     def test_pad_pass_keeps_the_next_clock_check(self, value):
@@ -539,7 +537,7 @@ class TestPureFunctionOfParameters:
         with pytest.raises(error):
             model.value(w, (0, 0))
         with pytest.raises(error):
-            model.pad_tail(w, SQUARE_LOSS)
+            model.pad_tail(w)
 
 
 class TestGradientCheck:
@@ -561,8 +559,7 @@ class TestGradientCheck:
         prog = echo_program(3)
         model = compile_program(prog, RHO)
         out = run_bsgd(model, mixed_distribution(), T=3, rho=RHO, b=4, seed=3)
-        g = model.loss_gradient(out.final_params, Example((1, 1), 1),
-                                SQUARE_LOSS)
+        g = model.loss_gradient(out.final_params, Example((1, 1), 1))
         assert g == {}
         summary = gradient_check(model, out.final_params, Example((1, 1), 1))
         assert summary["max_zero_fd"] <= 1e-7

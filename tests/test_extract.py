@@ -318,8 +318,7 @@ def test_extraction_program_collects_m_and_stops_early():
     D = four_point()
     program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=6, rounds=400,
                                 learner=_keep_samples)
-    method = BSQMethod(k=400, tau=1 / 32, b=8, p=5, r=program.random_bits,
-                       program=program)
+    method = BSQMethod(k=400, tau=1 / 32, b=8, program=program)
     run = method.run(D, seed=3)
     assert isinstance(run.predictor, tuple) and len(run.predictor) == 6
     assert run.transcript.meta["rounds_used"] < 400
@@ -331,8 +330,7 @@ def test_extraction_program_budget_failure_gives_zero_predictor():
     D = four_point()
     program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=50, rounds=3,
                                 learner=_keep_samples)
-    method = BSQMethod(k=3, tau=1 / 32, b=8, p=5, r=program.random_bits,
-                       program=program)
+    method = BSQMethod(k=3, tau=1 / 32, b=8, program=program)
     run = method.run(D, seed=3)
     assert isinstance(run.predictor, ZeroPredictor)
 
@@ -380,8 +378,7 @@ def test_alternating_label_marginal_still_correct():
         program = ExtractionProgram(n=2, b=4, tau=1 / 16, m=1, rounds=60,
                                     learner=_keep_samples)
         program = program.make_alternating()
-        method = BSQMethod(k=120, tau=1 / 16, b=4, p=3,
-                           r=program.random_bits, program=program)
+        method = BSQMethod(k=120, tau=1 / 16, b=4, program=program)
         run = method.run(D, seed=i)
         (sample,) = run.predictor
         ones += sample.y
@@ -391,8 +388,7 @@ def test_alternating_label_marginal_still_correct():
 def test_fixed_batch_program_recovers_batch_via_method():
     program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=8, rounds=60,
                                 learner=_keep_samples, fixed_batch=True)
-    method = FBSQMethod(k=60, tau=1 / 32, m=8, p=5, r=program.random_bits,
-                        program=program)
+    method = FBSQMethod(k=60, tau=1 / 32, m=8, program=program)
     D = four_point()
     run = method.run(D, seed=6)
     got = sorted(ex.joint_code() for ex in run.predictor)
@@ -404,8 +400,7 @@ def test_fixed_batch_alternating_program_recovers_batch():
     program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=8, rounds=60,
                                 learner=_keep_samples,
                                 fixed_batch=True).make_alternating()
-    method = FBSQMethod(k=120, tau=1 / 32, m=8, p=5, r=program.random_bits,
-                        program=program)
+    method = FBSQMethod(k=120, tau=1 / 32, m=8, program=program)
     D = four_point()
     run = method.run(D, seed=8)
     got = sorted(ex.joint_code() for ex in run.predictor)

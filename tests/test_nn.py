@@ -42,7 +42,7 @@ from gradlab.numerics import (
     round_nearest_multiple,
 )
 from gradlab.paradigms import run_fbgd
-from gradlab.problems import SQUARE_LOSS, Batch, Example, FiniteDistribution
+from gradlab.problems import Batch, Example, FiniteDistribution
 
 STRATEGIES = (RoundingStrategy.NEAREST, RoundingStrategy.ADVERSARIAL_UP,
               RoundingStrategy.ADVERSARIAL_DOWN)
@@ -341,6 +341,20 @@ class TestFrozenCircuits:
         net.add_edge(wiremap[circuit.outputs[0]], "out", 0.1)
         return net, wiremap
 
+    @pytest.mark.parametrize("gate", [Gate("g", "and", ("x0",)),
+                                      Gate("g", "not", ("x0", "x1")),
+                                      Gate("g", "true", ("x0",)),
+                                      Gate("g", "xor", ("x0", "x1"))])
+    def test_malformed_gates_rejected_like_the_interpreter(self, gate):
+        bad = Circuit(inputs=("x0", "x1"), gates=(gate,), outputs=("g",))
+        with pytest.raises(ValueError) as want:
+            evaluate_circuit(bad, {"x0": True, "x1": False})
+        net = NeuralNet(2)
+        with pytest.raises(ValueError) as got:
+            build_circuit_gadget(net, bad, self.source_map(bad))
+        assert str(got.value) == str(want.value)
+        assert net.to_json() == NeuralNet(2).to_json()
+
     def test_matches_interpreter(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -616,10 +630,6 @@ class TestProgramEmulation:
             build_emulation_net(prog, 0.3)
         with pytest.raises(ValueError):
             build_emulation_net(prog, 1 / 128)
-        with pytest.raises(ValueError):
-            build_emulation_net(prog, 1 / 16, rounds=2)
-        with pytest.raises(ValueError):
-            build_emulation_net(prog, 1 / 16, arity=2)
         bad = dataclasses.replace(prog, rounds=5,
                                   digit_circuits=prog.digit_circuits * 5)
         with pytest.raises(ValueError):

@@ -51,7 +51,6 @@ from gradlab.paradigms import (
     run_fbgd,
 )
 from gradlab.problems import (
-    SQUARE_LOSS,
     FiniteDistribution,
     sample_batch,
 )
@@ -95,11 +94,11 @@ def _reference_round(avg, rho, rounding):
     return dict(zip(idx, round_approximate(vals, rho, rounding).tolist()))
 
 
-def _reference_step(model, w, items, rho, gamma, rounding, loss):
+def _reference_step(model, w, items, rho, gamma, rounding):
     b = len(items)
-    acc = dict(_clipped_gradient(model, w, items[0], loss))
+    acc = dict(_clipped_gradient(model, w, items[0]))
     for ex in items[1:]:
-        for i, v in _clipped_gradient(model, w, ex, loss).items():
+        for i, v in _clipped_gradient(model, w, ex).items():
             acc[i] = acc.get(i, 0.0) + v
     avg = {i: v / b for i, v in acc.items()}
     response = _reference_round(avg, rho, rounding)
@@ -111,7 +110,6 @@ def _reference_step(model, w, items, rho, gamma, rounding, loss):
 
 def _reference_run(model, batches, T, rho, gamma, rounding, seed, kind, b,
                    record, record_items, record_hashes, hook):
-    loss = SQUARE_LOSS
     grid_exponent(rho)
     bits = _draw_init_bits(seed, model.random_bits)
     w = np.array(model.init(bits), dtype=float)
@@ -122,10 +120,10 @@ def _reference_run(model, batches, T, rho, gamma, rounding, seed, kind, b,
     })
     for t in range(1, T + 1):
         items = batches(t)
-        item_grads = ([_clipped_gradient(model, w, ex, loss) for ex in items]
+        item_grads = ([_clipped_gradient(model, w, ex) for ex in items]
                       if record and record_items else None)
         avg, response = _reference_step(model, w, items, rho, gamma,
-                                        rounding, loss)
+                                        rounding)
         transcript.samples_consumed += len(items) if kind == "bsgd" else 0
         if record:
             rec = RoundRecord(
@@ -434,7 +432,7 @@ def test_future_clock_set_by_init_fails_at_round_1(tmp_path, value, runner):
         assert outcomes[0][3] == hashlib.sha256().hexdigest()  # no hook call
 
 
-def test_pad_pass_covers_the_tail():
+def _count_gradient_calls(record_items: bool):
     method, program = _pipeline(2)
     calls = []
     model = method.model
@@ -443,11 +441,23 @@ def test_pad_pass_covers_the_tail():
         model.loss_gradient(*a))
     auditor = TrajectoryAuditor(program, method.rho)
     run_bsgd(counted, _dist(), method.T, method.rho, 2, seed=4,
-             record=False, hook=auditor.hook)
+             record=record_items, record_items=record_items,
+             hook=auditor.hook)
     audit = auditor.check()
-    # per-example gradients only for the active rounds and the first pad
-    assert len(calls) == 2 * (audit.active_rounds + 1)
     assert audit.rounds == method.T
+    return len(calls), audit
+
+
+def test_pad_pass_covers_the_tail():
+    calls, audit = _count_gradient_calls(record_items=False)
+    # per-example gradients only for the active rounds and the first pad
+    assert calls == 2 * (audit.active_rounds + 1)
+
+
+def test_recorded_items_are_the_step_gradients():
+    calls, audit = _count_gradient_calls(record_items=True)
+    # the recorded items are the rows the step summed, not a second pass
+    assert calls == 2 * (audit.active_rounds + 1) == 10
 
 
 def test_every_compiled_model_offers_a_pad_tail():

@@ -174,8 +174,8 @@ def constant_model():
         random_bits=0,
         init=lambda bits: np.zeros(1),
         value=lambda w, x: float(w[0]),
-        loss_gradient=lambda w, ex, loss: np.array(
-            [loss.derivative(float(w[0]), float(ex.y))]),
+        loss_gradient=lambda w, ex: np.array(
+            [SQUARE_LOSS.derivative(float(w[0]), float(ex.y))]),
         name="constant",
     )
 
@@ -190,7 +190,7 @@ def linear_model(n):
         random_bits=0,
         init=lambda bits: np.zeros(n + 1),
         value=lambda w, x: float(w @ features(x)),
-        loss_gradient=lambda w, ex, loss: loss.derivative(
+        loss_gradient=lambda w, ex: SQUARE_LOSS.derivative(
             float(w @ features(ex.x)), float(ex.y)) * features(ex.x),
         name="linear",
     )
@@ -220,7 +220,7 @@ class TestRunBSGD:
             w = np.zeros(model.dim)
             for rec in out.transcript.records:
                 batch = [by_code[c] for c in rec.batch_codes]
-                grads = [clip1(model.loss_gradient(w, ex, SQUARE_LOSS))
+                grads = [clip1(model.loss_gradient(w, ex))
                          for ex in batch]
                 mean = np.mean(grads, axis=0)
                 assert np.array_equal(np.asarray(rec.exact_mean), mean)
@@ -245,12 +245,14 @@ class TestRunBSGD:
     def test_sparse_matches_dense(self):
         # a model reporting sparse gradients must train identically to
         # the same model reporting dense ones
-        def sparse_grad(w, ex, loss):
-            diff = loss.derivative(float(w[0] + w[1] * ex.x[0]), float(ex.y))
+        def sparse_grad(w, ex):
+            diff = SQUARE_LOSS.derivative(float(w[0] + w[1] * ex.x[0]),
+                                          float(ex.y))
             return {0: diff, 1: diff * ex.x[0]}
 
-        def dense_grad(w, ex, loss):
-            diff = loss.derivative(float(w[0] + w[1] * ex.x[0]), float(ex.y))
+        def dense_grad(w, ex):
+            diff = SQUARE_LOSS.derivative(float(w[0] + w[1] * ex.x[0]),
+                                          float(ex.y))
             return np.array([diff, diff * ex.x[0], 0.0, 0.0])
 
         common = dict(random_bits=0, init=lambda bits: np.zeros(4),
@@ -367,7 +369,7 @@ class TestMethods:
 
         prog = GeneratorProgram(rounds=3, arity=1, random_bits=0,
                                 query_generator=gen, final_predictor=predictor)
-        method = SQMethod(k=3, tau=1 / 16, r=0, program=prog)
+        method = SQMethod(k=3, tau=1 / 16, program=prog)
         out = method.run(D, seed=0)
         assert out.predictor((0,)) == 0.25
         assert out.transcript.meta["rounds_used"] == 1

@@ -176,7 +176,7 @@ def _adaptive(arity: int, rounds: int) -> GeneratorProgram:
 
 
 def _wrapped(path_name: str):
-    sq = SQMethod(k=3, tau=1 / 4, r=3, program=_adaptive(1, 3))
+    sq = SQMethod(k=3, tau=1 / 4, program=_adaptive(1, 3))
     if path_name == "sq_to_bsq":
         return sq_to_bsq(sq, b=16, delta=0.5)
     if path_name == "sq_to_bsq_alternating":
@@ -186,10 +186,9 @@ def _wrapped(path_name: str):
     if path_name == "sq_to_fbsq":
         return sq_to_fbsq(sq, m=24, delta=0.5)
     if path_name == "bsq_to_sq":
-        bsq = BSQMethod(k=3, tau=1 / 8, b=16, p=3, r=3,
-                        program=_adaptive(3, 3))
+        bsq = BSQMethod(k=3, tau=1 / 8, b=16, program=_adaptive(3, 3))
         return bsq_to_sq(bsq, delta=0.5)
-    fbsq = FBSQMethod(k=3, tau=1 / 8, m=24, p=3, r=3, program=_adaptive(3, 3))
+    fbsq = FBSQMethod(k=3, tau=1 / 8, m=24, program=_adaptive(3, 3))
     return fbsq_to_sq(fbsq, delta=0.5)
 
 

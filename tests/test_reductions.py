@@ -22,6 +22,7 @@ from gradlab.paradigms import (
 )
 from gradlab.paradigms import _drive_query_method
 from gradlab.problems import (
+    SQUARE_LOSS,
     Example,
     FiniteDistribution,
     TablePredictor,
@@ -115,7 +116,7 @@ def linear_model(n):
         random_bits=0,
         init=lambda bits: np.zeros(n + 1),
         value=lambda w, x: float(w @ features(x)),
-        loss_gradient=lambda w, ex, loss: loss.derivative(
+        loss_gradient=lambda w, ex: SQUARE_LOSS.derivative(
             float(w @ features(ex.x)), float(ex.y)) * features(ex.x),
         name="linear",
     )
@@ -173,19 +174,19 @@ class TestRepeatCount:
 
 class TestSqToBsq:
     def test_derived_parameters(self):
-        sq = SQMethod(k=2, tau=1 / 8, r=0,
+        sq = SQMethod(k=2, tau=1 / 8,
                       program=recording_sq_program([label_query(),
                                                     coord_query(0)]))
         bsq = sq_to_bsq(sq, b=8, delta=0.1)
         q = repeat_count(2, 8, 1 / 8, 0.1)
         assert bsq.k == 2 * q
         assert bsq.tau == 1 / 16
-        assert bsq.p == 1
-        assert bsq.r == 0
-        assert not bsq.alternating
+        assert bsq.program.arity == 1
+        assert bsq.program.random_bits == 0
+        assert not bsq.program.alternating
 
     def test_each_query_repeated_q_times(self):
-        sq = SQMethod(k=2, tau=1 / 4, r=0,
+        sq = SQMethod(k=2, tau=1 / 4,
                       program=recording_sq_program([label_query(),
                                                     coord_query(0)]))
         bsq = sq_to_bsq(sq, b=32, delta=0.2)
@@ -200,7 +201,7 @@ class TestSqToBsq:
 
     def test_exact_on_point_mass(self):
         D = FiniteDistribution.point_mass(Example((1, 0), 1))
-        sq = SQMethod(k=2, tau=1 / 8, r=0,
+        sq = SQMethod(k=2, tau=1 / 8,
                       program=recording_sq_program([label_query(),
                                                     coord_query(1)]))
         bsq = sq_to_bsq(sq, b=4, delta=0.1)
@@ -213,7 +214,7 @@ class TestSqToBsq:
         queries = [label_query(), coord_query(0), coord_query(1)]
         vals = {q.name: D.expectation(lambda ex, q=q: q.evaluate(ex)[0])
                 for q in queries}
-        sq = SQMethod(k=3, tau=1 / 8, r=0,
+        sq = SQMethod(k=3, tau=1 / 8,
                       program=recording_sq_program(queries))
         bsq = sq_to_bsq(sq, b=8, delta=0.05)
         hits = 0
@@ -228,11 +229,11 @@ class TestSqToBsq:
         assert hits / trials >= 0.9
 
     def test_alternating_variant_discipline(self):
-        sq = SQMethod(k=2, tau=1 / 4, r=0,
+        sq = SQMethod(k=2, tau=1 / 4,
                       program=recording_sq_program([label_query(),
                                                     coord_query(0)]))
         bsq = sq_to_bsq(sq, b=16, delta=0.2, alternating=True)
-        assert bsq.alternating
+        assert bsq.program.alternating
         assert bsq.tau == 1 / 16
         q = repeat_count(2, 16, 1 / 4, 0.2, alternating=True)
         assert bsq.k == 2 * 2 * q
@@ -251,7 +252,7 @@ class TestSqToBsq:
 
     def test_alternating_split_is_exact_on_point_mass(self):
         D = FiniteDistribution.point_mass(Example((0, 1), 1))
-        sq = SQMethod(k=2, tau=1 / 8, r=0,
+        sq = SQMethod(k=2, tau=1 / 8,
                       program=recording_sq_program([label_query(),
                                                     coord_query(1)]))
         bsq = sq_to_bsq(sq, b=4, delta=0.1, alternating=True)
@@ -274,12 +275,12 @@ class TestBsqToSq:
                                 query_generator=qgen, final_predictor=fpred)
         from gradlab.paradigms import BSQMethod
 
-        return BSQMethod(k=2, tau=tau, b=b, p=3, r=0, program=prog)
+        return BSQMethod(k=2, tau=tau, b=b, program=prog)
 
     def test_round_count_and_tolerance(self):
         bsq = self._toy_bsq()
         sq = bsq_to_sq(bsq, delta=0.1)
-        assert sq.k == bsq.k * bsq.p
+        assert sq.k == bsq.k * bsq.program.arity
         assert sq.tau == bsq.tau / 2
 
     def test_warns_outside_concentration_regime(self):
@@ -317,7 +318,7 @@ class TestBsqToSq:
 
 class TestSplitAlternating:
     def test_round_doubling_and_tolerance(self):
-        sq = SQMethod(k=3, tau=1 / 8, r=0,
+        sq = SQMethod(k=3, tau=1 / 8,
                       program=recording_sq_program([label_query(),
                                                     coord_query(0),
                                                     coord_query(1)]))
@@ -328,7 +329,7 @@ class TestSplitAlternating:
     def test_halves_alternate_and_recombine(self):
         D = four_point()
         queries = [label_query(), coord_query(0)]
-        sq = SQMethod(k=2, tau=1 / 8, r=0,
+        sq = SQMethod(k=2, tau=1 / 8,
                       program=recording_sq_program(queries))
         split = sq_split_alternating(sq)
         from gradlab.paradigms import SQOracle
@@ -344,7 +345,7 @@ class TestSplitAlternating:
 
     def test_restricted_halves_vanish_off_label(self):
         base = coord_query(0)
-        sq = SQMethod(k=1, tau=1 / 8, r=0,
+        sq = SQMethod(k=1, tau=1 / 8,
                       program=recording_sq_program([base]))
         split = sq_split_alternating(sq)
         run = split.program.start(())
@@ -356,7 +357,7 @@ class TestSplitAlternating:
 
 class TestSqToFbsq:
     def _sq(self, k=2, tau=1 / 4):
-        return SQMethod(k=k, tau=tau, r=0,
+        return SQMethod(k=k, tau=tau,
                         program=recording_sq_program(
                             [label_query(), coord_query(0)][:k]))
 
@@ -365,7 +366,7 @@ class TestSqToFbsq:
         assert fbsq.k == 2
         assert fbsq.tau == 1 / 8
         assert fbsq.m == 100000
-        assert fbsq.p == 1
+        assert fbsq.program.arity == 1
 
     def test_responses_snapped_to_half_tau_grid(self):
         assert round_nearest_multiple(0.30, 1 / 8) == pytest.approx(0.25)
@@ -410,7 +411,7 @@ class TestFbsqToSq:
                                 query_generator=qgen, final_predictor=fpred)
         from gradlab.paradigms import FBSQMethod
 
-        return FBSQMethod(k=1, tau=tau, m=m, p=2, r=0, program=prog)
+        return FBSQMethod(k=1, tau=tau, m=m, program=prog)
 
     def test_round_count_and_grid(self):
         sq = fbsq_to_sq(self._fbsq(), delta=0.1)
@@ -430,16 +431,17 @@ class TestPacToBsq:
         pac = parity_learner(6, m=12)
         bsq = pac_to_bsq(pac, b=4, tau=1 / 16, delta=0.1, n=6)
         assert bsq.k == math.ceil(10 * 12 * 7 / 0.1)
-        assert bsq.p == 7
-        assert bsq.r == bsq.k * 2  # two descent bits per round at b=4
-        assert not bsq.alternating
+        assert bsq.program.arity == 7
+        # two descent bits per round at b=4
+        assert bsq.program.random_bits == bsq.k * 2
+        assert not bsq.program.alternating
 
     def test_alternating_budget_doubles(self):
         pac = parity_learner(6, m=12)
         bsq = pac_to_bsq(pac, b=4, tau=1 / 16, delta=0.1, n=6,
                          alternating=True)
         assert bsq.k == math.ceil(20 * 12 * 7 / 0.1)
-        assert bsq.alternating
+        assert bsq.program.alternating
 
     def test_rejects_coarse_tolerance(self):
         pac = parity_learner(4, m=8)
@@ -514,8 +516,8 @@ class TestBsgdToBsq:
         bsq = bsgd_to_bsq(model, T=5, rho=2 ** -4, b=8)
         assert bsq.k == 5
         assert bsq.tau == 2 ** -6
-        assert bsq.p == 4
-        assert bsq.r == 0
+        assert bsq.program.arity == 4
+        assert bsq.program.random_bits == 0
 
     def test_replayed_batches_reproduce_descent_exactly(self):
         model = linear_model(2)
@@ -661,7 +663,7 @@ class TestBuildPipeline:
                 "params": {"n": 6, "b": 4, "rho": 1 / 64, "delta": 0.1,
                            "m": 12}}
         method, report = build_pipeline(spec)
-        assert method.alternating
+        assert method.program.alternating
         assert method.tau == 1 / 16
         assert method.k == math.ceil(20 * 12 * 7 / 0.1)
         assert report.derived["bsq_alternating"]["k"] == method.k
@@ -747,11 +749,11 @@ class TestBuildPipeline:
 
     def test_sq_stage_chain(self):
         queries = [label_query(), coord_query(0)]
-        sq = SQMethod(k=2, tau=1 / 4, r=0,
+        sq = SQMethod(k=2, tau=1 / 4,
                       program=recording_sq_program(queries))
         method, report = build_pipeline(["sq_to_bsq", "bsq_alternating"],
                                         sq, b=16, delta=0.1)
-        assert method.alternating
+        assert method.program.alternating
         assert method.tau == 1 / 16
         q = repeat_count(2, 16, 1 / 4, 0.1, alternating=True)
         assert method.k == 2 * 2 * q
