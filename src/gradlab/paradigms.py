@@ -856,7 +856,7 @@ class PACMethod:
 
 
 def _drive_query_method(program: QueryProgram, k: int, oracle,
-                        seed: int, expected_arity: int | None) -> MethodRun:
+                        seed: int, expected_arity: int) -> MethodRun:
     bits_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB117]))
     bits = tuple(int(v) for v in bits_rng.integers(0, 2, size=program.random_bits))
     run = program.start(bits)
@@ -865,7 +865,7 @@ def _drive_query_method(program: QueryProgram, k: int, oracle,
         query = run.next_query()
         if query is None:
             break
-        if expected_arity is not None and query.arity != expected_arity:
+        if query.arity != expected_arity:
             raise ValueError(
                 f"program emitted arity {query.arity}, declared {expected_arity}")
         response = oracle.ask(query)
