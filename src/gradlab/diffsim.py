@@ -32,6 +32,7 @@ from .paradigms import (
     PadTail,
     QueryProgram,
     SQQuery,
+    round_restriction,
     run_bsgd,
 )
 from .problems import SQUARE_LOSS, Example, FiniteDistribution
@@ -63,14 +64,6 @@ class SnapBoundError(RuntimeError):
 
 class TrajectoryError(RuntimeError):
     """A training trajectory broke one of the compiled-model guarantees."""
-
-
-def round_restriction(t: int) -> LabelRestriction:
-    """Label restriction required of the round-t query: odd rounds on 1."""
-    if t < 1:
-        raise ValueError("rounds are numbered from 1")
-    return (LabelRestriction.ONE_QUERY if t % 2 == 1
-            else LabelRestriction.ZERO_QUERY)
 
 
 def clock_gate(a1: float, a2: float, a3: float,

@@ -24,9 +24,9 @@ from .paradigms import (
     LabelRestriction,
     SQQuery,
     constant_zero_query,
+    round_restriction,
 )
-from .problems import Example
-from .problems import ZeroPredictor
+from .problems import Example, ZeroPredictor
 
 __all__ = [
     "Failure",
@@ -114,12 +114,21 @@ class _CountError(RuntimeError):
 
 
 class _Attempt:
-    """One descent attempt: the current prefix plus the branch rules."""
+    """One descent attempt: the current prefix plus the branch rules.
 
-    def __init__(self, n: int, batch_size: int, root_count: int):
+    `taken` holds the frozen-batch examples already extracted; their
+    joint bits are kept when the walk starts, and `step` subtracts the
+    ones that extend the prefix from every recovered answer.  A walk on
+    fresh batches takes none.
+    """
+
+    def __init__(self, n: int, batch_size: int, tau: float,
+                 taken: Sequence[Example] = ()):
         self.n = int(n)
         self.batch_size = int(batch_size)
-        self.root_count = int(root_count)
+        self.tau = tau
+        self.taken = [tuple(map(int, ex.joint_bits())) for ex in taken]
+        self.root_count = self.batch_size - len(self.taken)
         self.prefix: tuple[int, ...] = ()
 
     def query(self, *, pad_to: int | None = None,
@@ -127,22 +136,31 @@ class _Attempt:
         return prefix_query(self.prefix, self.n, pad_to=pad_to,
                             restriction=restriction)
 
-    def width(self) -> int:
-        ell = len(self.prefix)
-        return (1 if ell else 0) + (self.n + 1 - ell)
+    def step(self, response: Sequence[float], bits) -> Example | None:
+        """One round of the walk; an Example ends it.
 
-    def absorb(self, counts: Sequence[int], bits) -> Example | None:
-        """Apply one round of recovered counts; an Example ends the walk."""
+        Recovers the exact counts behind the response, subtracts the
+        taken examples that extend the prefix, then reads off a unique
+        match, descends one bit, or keeps the prefix when no example
+        matches it.
+        """
         ell = len(self.prefix)
-        if ell == 0:
-            w = self.root_count
-            child = [int(c) for c in counts[:self.n + 1]]
-        else:
-            w = int(counts[0])
-            child = [int(c) for c in counts[1:self.n + 2 - ell]]
+        head = 1 if ell else 0
+        width = head + self.n + 1 - ell
+        trimmed = np.asarray(response, dtype=float)[:width]
+        counts = [av.numerator for av in
+                  recover_batch_average(trimmed, self.batch_size, self.tau)]
+        for z in self.taken:
+            if z[:ell] == self.prefix:
+                if head:
+                    counts[0] -= 1
+                for j, bit in enumerate(z[ell:]):
+                    counts[head + j] -= bit
+        w = counts[0] if head else self.root_count
+        child = counts[head:]
         if w < 0 or w > self.batch_size or any(c < 0 or c > w for c in child):
             raise _CountError(
-                f"counts {list(counts)} impossible at prefix {self.prefix}")
+                f"counts {counts} impossible at prefix {self.prefix}")
         if w == 0:
             return None
         if w == 1:
@@ -154,14 +172,6 @@ class _Attempt:
             z = self.prefix
             return Example(x=z[1:], y=z[0])
         return None
-
-
-def _recover_counts(response: Sequence[float], width: int, b: int,
-                    tau: float) -> list[int]:
-    """Exact batch counts behind the first `width` response coordinates."""
-    trimmed = np.asarray(response, dtype=float)[:width]
-    averages = recover_batch_average(trimmed, b, tau)
-    return [av.numerator for av in averages]
 
 
 def _check_tolerance(batch_size: int, tau: float) -> None:
@@ -183,39 +193,31 @@ def sample_extract(oracle, n: int, b: int, tau: float, seed: int = 0, *,
     """
     _check_tolerance(b, tau)
     bits = BitStream(seed) if rng_bits is None else rng_bits
-    attempt = _Attempt(n, b, root_count=b)
+    attempt = _Attempt(n, b, tau)
     rounds = 0
     while round_budget is None or rounds < round_budget:
-        query = attempt.query()
-        response = oracle.ask(query)
+        response = oracle.ask(attempt.query())
         rounds += 1
-        counts = _recover_counts(response, attempt.width(), b, tau)
-        found = attempt.absorb(counts, bits)
+        found = attempt.step(response, bits)
         if found is not None:
             return found, rounds
     return Failure(extracted=0, rounds_used=rounds)
 
 
-def extract_m_samples(oracle, m: int, round_budget: int, seed: int = 0, *,
-                      n: int | None = None, b: int | None = None,
-                      tau: float | None = None, rng_bits=None,
+def extract_m_samples(oracle, m: int, round_budget: int, seed: int = 0,
                       ) -> list[Example] | Failure:
     """Repeat single-example extraction until m examples or budget out.
 
-    Unspecified n/b/tau are read off the oracle.  A Failure result
-    tells the caller to fall back to the trivial zero predictor; it
-    carries how far the run got.
+    n, b and tau are read off the oracle (`oracle.D.n`, `oracle.b`,
+    `oracle.tau`), and every extraction draws from one bit stream
+    seeded by `seed`.  A Failure result tells the caller to fall back
+    to the trivial zero predictor; it carries how far the run got.
     """
-    if b is None:
-        b = int(oracle.b)
-    if tau is None:
-        tau = float(oracle.tau)
-    if n is None:
-        n = int(oracle.D.n)
+    n, b, tau = int(oracle.D.n), int(oracle.b), float(oracle.tau)
     _check_tolerance(b, tau)
     if m <= 0:
         raise ValueError("need m >= 1")
-    bits = BitStream(seed) if rng_bits is None else rng_bits
+    bits = BitStream(seed)
     out: list[Example] = []
     rounds = 0
     while len(out) < m:
@@ -233,40 +235,25 @@ def extract_m_samples(oracle, m: int, round_budget: int, seed: int = 0, *,
     return out
 
 
-def _already_counts(query: SQQuery, already: Sequence[Example]) -> np.ndarray:
-    total = np.zeros(query.arity)
-    for example in already:
-        total += query.evaluate(example)
-    return np.rint(total).astype(int)
-
-
 def fb_extract_all(oracle, n: int, tau: float, already: Sequence[Example],
-                   *, m: int | None = None, seed: int = 0, rng_bits=None,
-                   ) -> Example:
+                   *, seed: int = 0) -> Example:
     """Draw one example uniformly from a frozen batch, skipping `already`.
 
-    The oracle answers against one hidden batch of m examples at
-    tolerance tau with m*tau < 1/2.  Counts of previously extracted
-    examples are subtracted from every recovered answer, so repeated
-    calls walk through the whole batch without replacement; each call
+    The oracle answers against one hidden batch of `oracle.m` examples
+    at tolerance tau with m*tau < 1/2.  Each round's step subtracts the
+    examples in `already` that extend the prefix, so repeated calls
+    walk through the whole batch without replacement; each call
     finishes within n+1 rounds and cannot fail.
     """
-    if m is None:
-        m = int(oracle.m)
+    m = int(oracle.m)
     _check_tolerance(m, tau)
-    already = list(already)
     if not len(already) < m:
         raise ValueError(f"already holds {len(already)} of {m} examples")
-    bits = BitStream(seed) if rng_bits is None else rng_bits
-    attempt = _Attempt(n, m, root_count=m - len(already))
+    bits = BitStream(seed)
+    attempt = _Attempt(n, m, tau, already)
     for _ in range(n + 1):
         depth = len(attempt.prefix)
-        query = attempt.query()
-        response = oracle.ask(query)
-        counts = _recover_counts(response, attempt.width(), m, tau)
-        counts = [c - a for c, a in
-                  zip(counts, _already_counts(query, already))]
-        found = attempt.absorb(counts, bits)
+        found = attempt.step(oracle.ask(attempt.query()), bits)
         if found is not None:
             return found
         if len(attempt.prefix) == depth:
@@ -333,7 +320,7 @@ class ExtractionProgram:
     tau: float
     m: int
     rounds: int
-    learner: Callable[[Sequence[Example], tuple[int, ...]], object] | None = None
+    learner: Callable[[Sequence[Example], tuple[int, ...]], object]
     learner_bits: int = 0
     alternating: bool = False
     fixed_batch: bool = False
@@ -353,14 +340,6 @@ class ExtractionProgram:
         per_round = max(1, math.ceil(math.log2(self.b)))
         return self.learner_bits + self.rounds * per_round
 
-    def make_alternating(self) -> "ExtractionProgram":
-        """Label-restricted variant; needs twice the round budget."""
-        return ExtractionProgram(
-            n=self.n, b=self.b, tau=self.tau, m=self.m,
-            rounds=2 * self.rounds, learner=self.learner,
-            learner_bits=self.learner_bits, alternating=True,
-            fixed_batch=self.fixed_batch, name=self.name + "-alternating")
-
     def start(self, bits: tuple[int, ...]) -> "_ExtractionRun":
         return _ExtractionRun(self, tuple(map(int, bits)))
 
@@ -375,27 +354,11 @@ class _ExtractionRun:
         self.examples: list[Example] = []
         self.round = 0
         self.attempt: _Attempt | None = None
-        self.label_bit: int | None = None
         self.pending: str | None = None
 
     @property
     def bits_consumed(self) -> int:
         return self.cursor.overflow_consumed
-
-    def _fresh_attempt(self) -> _Attempt:
-        prog = self.prog
-        root = prog.b - len(self.examples) if prog.fixed_batch else prog.b
-        return _Attempt(prog.n, prog.b, root_count=root)
-
-    def _restriction(self) -> LabelRestriction:
-        if self.label_bit == 1:
-            return LabelRestriction.ONE_QUERY
-        return LabelRestriction.ZERO_QUERY
-
-    def _active_parity_matches(self) -> bool:
-        # label 1 walks on odd rounds, label 0 on even rounds
-        odd = self.round % 2 == 1
-        return odd == (self.label_bit == 1)
 
     def next_query(self) -> SQQuery | None:
         prog = self.prog
@@ -403,27 +366,23 @@ class _ExtractionRun:
             return None
         self.round += 1
         if self.attempt is None:
-            self.attempt = self._fresh_attempt()
-            self.label_bit = None
+            taken = self.examples if prog.fixed_batch else ()
+            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken)
         if not prog.alternating:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity)
-        if self.label_bit is None:
-            if self.round % 2 == 1:
-                self.pending = "label"
-                return _label_query(prog.arity)
-            self.pending = "pad"
-            return constant_zero_query(prog.arity,
-                                       LabelRestriction.ZERO_QUERY)
-        if self._active_parity_matches():
+        # an attempt opens on a label-1 round; its walk then takes the
+        # rounds of its label and pads the others
+        want = round_restriction(self.round)
+        prefix = self.attempt.prefix
+        if not prefix and want is LabelRestriction.ONE_QUERY:
+            self.pending = "label"
+            return _label_query(prog.arity)
+        if prefix and prefix[0] == want.forced_label:
             self.pending = "walk"
-            return self.attempt.query(pad_to=prog.arity,
-                                      restriction=self._restriction())
+            return self.attempt.query(pad_to=prog.arity, restriction=want)
         self.pending = "pad"
-        odd = self.round % 2 == 1
-        restriction = (LabelRestriction.ONE_QUERY if odd
-                       else LabelRestriction.ZERO_QUERY)
-        return constant_zero_query(prog.arity, restriction)
+        return constant_zero_query(prog.arity, want)
 
     def receive(self, response: Sequence[float]) -> None:
         prog = self.prog
@@ -431,39 +390,28 @@ class _ExtractionRun:
         if kind == "pad":
             return
         if kind == "label":
-            counts = _recover_counts(response, 1, prog.b, prog.tau)
-            ones = counts[0]
-            if prog.fixed_batch:
-                ones -= sum(1 for ex in self.examples if ex.y == 1)
-            root = self.attempt.root_count
-            bit = descent_bit(ones, root, prog.b, self.cursor)
+            trimmed = np.asarray(response, dtype=float)[:1]
+            (avg,) = recover_batch_average(trimmed, prog.b, prog.tau)
+            ones = avg.numerator - sum(z[0] for z in self.attempt.taken)
+            bit = descent_bit(ones, self.attempt.root_count, prog.b,
+                              self.cursor)
             self.attempt.prefix = (bit,)
-            self.label_bit = bit
             if prog.n == 0:
                 self._finish(Example(x=(), y=bit))
             return
         if kind != "walk":
             raise RuntimeError("response without a pending query")
-        counts = _recover_counts(response, self.attempt.width(), prog.b,
-                                 prog.tau)
-        if prog.fixed_batch:
-            query = self.attempt.query(pad_to=prog.arity)
-            counts = [c - a for c, a in
-                      zip(counts, _already_counts(query, self.examples))]
-        found = self.attempt.absorb(counts, self.cursor)
+        found = self.attempt.step(response, self.cursor)
         if found is not None:
             self._finish(found)
 
     def _finish(self, example: Example) -> None:
         self.examples.append(example)
         self.attempt = None
-        self.label_bit = None
 
     def predictor(self):
         prog = self.prog
         if len(self.examples) < prog.m:
-            return ZeroPredictor()
-        if prog.learner is None:
             return ZeroPredictor()
         return prog.learner(self.examples[:prog.m], self.payload_bits)
 

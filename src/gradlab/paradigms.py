@@ -41,6 +41,7 @@ from .problems import (
 
 __all__ = [
     "LabelRestriction",
+    "round_restriction",
     "NoiseAdversary",
     "QueryRangeError",
     "RestrictionError",
@@ -98,6 +99,14 @@ class LabelRestriction(Enum):
         if self is LabelRestriction.ONE_QUERY:
             return 1
         return None
+
+
+def round_restriction(t: int) -> LabelRestriction:
+    """Label restriction required of the round-t query: odd rounds on 1."""
+    if t < 1:
+        raise ValueError("rounds are numbered from 1")
+    return (LabelRestriction.ONE_QUERY if t % 2 == 1
+            else LabelRestriction.ZERO_QUERY)
 
 
 class NoiseAdversary(Enum):
@@ -166,7 +175,6 @@ class RoundRecord:
     exact_mean: object = None
     batch_codes: list[int] | None = None
     item_values: list | None = None
-    batch_seed: int | None = None
     iterate_hash: str | None = None
 
     def to_json(self) -> dict:
@@ -178,8 +186,6 @@ class RoundRecord:
             out["batch"] = list(self.batch_codes)
         if self.item_values is not None:
             out["items"] = [_vector_payload(v) for v in self.item_values]
-        if self.batch_seed is not None:
-            out["seed"] = self.batch_seed
         if self.iterate_hash is not None:
             out["hash"] = self.iterate_hash
         return out
@@ -231,7 +237,6 @@ class Transcript:
                 exact_mean=row.get("mean"),
                 batch_codes=row.get("batch"),
                 item_values=row.get("items"),
-                batch_seed=row.get("seed"),
                 iterate_hash=row.get("hash"),
             ))
         return out

@@ -548,6 +548,10 @@ def population_violation_rate(D: FiniteDistribution, query: SQQuery, b: int,
     response (the exact population expectation unless one is supplied)
     stays within tau of the batch average in every coordinate.
     """
+    if b <= 0:
+        raise ValueError("batch size must be positive")
+    if trials <= 0:
+        raise ValueError("need at least one trial")
     vals = np.stack([query.evaluate(ex) for ex in D.support])
     exact = D.probs @ vals
     candidate = exact if response is None else np.asarray(response, float)
@@ -565,19 +569,15 @@ def population_violation_rate(D: FiniteDistribution, query: SQQuery, b: int,
 
 
 def compare_methods(source, target, D: FiniteDistribution, delta: float,
-                    trials: int = 50, seed: int = 0,
-                    source_kwargs: dict | None = None,
-                    target_kwargs: dict | None = None) -> ReductionReport:
+                    trials: int = 50, seed: int = 0) -> ReductionReport:
     """Empirical check that target simulates source within delta.
 
     Both methods are evaluated on the same per-trial seed stream; the
     simulation claim passes when the target's mean error exceeds the
     source's by at most delta plus three combined standard errors.
     """
-    err_source = eval_method_error(source, D, trials, seed,
-                                   **(source_kwargs or {}))
-    err_target = eval_method_error(target, D, trials, seed,
-                                   **(target_kwargs or {}))
+    err_source = eval_method_error(source, D, trials, seed)
+    err_target = eval_method_error(target, D, trials, seed)
     return ReductionReport(
         source=getattr(source, "name", type(source).__name__),
         target=getattr(target, "name", type(target).__name__),

@@ -337,8 +337,8 @@ def test_extraction_program_budget_failure_gives_zero_predictor():
 
 def test_alternating_program_obeys_parity_and_padding():
     D = four_point()
-    program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=4, rounds=200,
-                                learner=_keep_samples).make_alternating()
+    program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=4, rounds=400,
+                                learner=_keep_samples, alternating=True)
     assert program.rounds == 400
     oracle = _CapturingOracle(BSQOracle(D, b=8, tau=1 / 32, seed=5))
     bits_rng = np.random.default_rng(123)
@@ -375,9 +375,8 @@ def test_alternating_label_marginal_still_correct():
     ones = 0
     trials = 400
     for i in range(trials):
-        program = ExtractionProgram(n=2, b=4, tau=1 / 16, m=1, rounds=60,
-                                    learner=_keep_samples)
-        program = program.make_alternating()
+        program = ExtractionProgram(n=2, b=4, tau=1 / 16, m=1, rounds=120,
+                                    learner=_keep_samples, alternating=True)
         method = BSQMethod(k=120, tau=1 / 16, b=4, program=program)
         run = method.run(D, seed=i)
         (sample,) = run.predictor
@@ -397,9 +396,9 @@ def test_fixed_batch_program_recovers_batch_via_method():
 
 
 def test_fixed_batch_alternating_program_recovers_batch():
-    program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=8, rounds=60,
-                                learner=_keep_samples,
-                                fixed_batch=True).make_alternating()
+    program = ExtractionProgram(n=4, b=8, tau=1 / 32, m=8, rounds=120,
+                                learner=_keep_samples, alternating=True,
+                                fixed_batch=True)
     method = FBSQMethod(k=120, tau=1 / 32, m=8, program=program)
     D = four_point()
     run = method.run(D, seed=8)

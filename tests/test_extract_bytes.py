@@ -240,9 +240,11 @@ def _drive(program, oracle, seed: int, start=None):
     bits = tuple(int(v) for v in np.random.default_rng(seed).integers(
         0, 2, program.random_bits))
     run = (start or program.start)(bits)
+    asked = []
     while (q := run.next_query()) is not None:
+        asked.append((q.name, q.restriction.value))
         run.receive(oracle.ask(q))
-    return run
+    return run, asked
 
 
 def test_sample_extract_bytes(tmp_path):
@@ -454,7 +456,7 @@ def test_fixed_batch_program_matches_reference(case, alternating, adv, seed,
     runs = []
     for start in (program.start, lambda bits: _RefRun(program, bits)):
         oracle = FBSQOracle(batch, tau, adv, seed)
-        run = _drive(program, oracle, seed, start)
+        run, asked = _drive(program, oracle, seed, start)
         runs.append(([ex.joint_code() for ex in run.examples],
-                     oracle.rounds))
+                     oracle.rounds, asked))
     assert runs[0] == runs[1]

@@ -633,6 +633,15 @@ class TestPopulationViolationRate:
                                          response=[0.99])
         assert rate == 1.0
 
+    def test_empty_batches_and_no_trials_are_rejected(self):
+        D = coin_flip()
+        with pytest.raises(ValueError, match="batch size must be positive"):
+            population_violation_rate(D, label_query(), b=0, tau=1 / 4,
+                                      trials=10)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            population_violation_rate(D, label_query(), b=4, tau=1 / 4,
+                                      trials=0)
+
 
 class TestCompareMethods:
     def test_identical_methods_always_hold(self):
