@@ -647,9 +647,9 @@ class TrajectoryAuditor:
             audit.pad_rounds += 1
         else:
             audit.active_rounds += 1
-            vals = [query.evaluate(ex) for ex in info.batch]
-            log.avgs.append((len(log.kappas), np.mean(vals, axis=0) if vals
-                             else np.zeros(lay.p)))
+            log.avgs.append((len(log.kappas), np.mean(
+                query.evaluate(info.batch), axis=0) if info.batch
+                else np.zeros(lay.p)))
         log.kappas.append(float(w[top]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round

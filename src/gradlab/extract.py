@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,8 +65,8 @@ def prefix_query(prefix: Sequence[int], n: int, *, pad_to: int | None = None,
         raise ValueError(f"prefix length {ell} out of range for n={n}")
     if any(v not in (0, 1) for v in prefix):
         raise ValueError("prefix bits must be 0/1")
-    has_head = ell > 0
-    width = (1 if has_head else 0) + (n + 1 - ell)
+    head = 1 if ell else 0
+    width = head + n + 1 - ell
     arity = width if pad_to is None else int(pad_to)
     if arity < width:
         raise ValueError(f"cannot pad width {width} down to {arity}")
@@ -76,18 +76,23 @@ def prefix_query(prefix: Sequence[int], n: int, *, pad_to: int | None = None,
         out = np.zeros(arity)
         if z[:ell] != prefix:
             return out
-        base = 0
-        if has_head:
+        if head:
             out[0] = 1.0
-            base = 1
         for j in range(n + 1 - ell):
             if z[ell + j] == 1:
-                out[base + j] = 1.0
+                out[head + j] = 1.0
+        return out
+
+    def block(bits: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(bits), arity))
+        hit = (bits[:, :ell] == prefix).all(axis=1)[:, None]
+        out[:, :head] = hit
+        out[:, head:width] = bits[:, ell:n + 1] * hit
         return out
 
     name = "prefix:" + "".join(str(v) for v in prefix)
     return SQQuery(arity=arity, evaluator=evaluate, restriction=restriction,
-                   name=name)
+                   name=name, block=block)
 
 
 def descent_bit(w1: int, w: int, batch_size: int, bits) -> int:
@@ -164,13 +169,12 @@ class _Attempt:
         if w == 0:
             return None
         if w == 1:
-            z = self.prefix + tuple(1 if c == 1 else 0 for c in child)
-            return Example(x=z[1:], y=z[0])
+            return Example.from_joint_bits(
+                self.prefix + tuple(1 if c == 1 else 0 for c in child))
         bit = descent_bit(child[0], w, self.batch_size, bits)
         self.prefix = self.prefix + (bit,)
         if len(self.prefix) == self.n + 1:
-            z = self.prefix
-            return Example(x=z[1:], y=z[0])
+            return Example.from_joint_bits(self.prefix)
         return None
 
 
@@ -393,11 +397,13 @@ class _ExtractionRun:
             trimmed = np.asarray(response, dtype=float)[:1]
             (avg,) = recover_batch_average(trimmed, prog.b, prog.tau)
             ones = avg.numerator - sum(z[0] for z in self.attempt.taken)
+            if not 0 <= ones <= self.attempt.root_count:
+                raise _CountError(f"label count {ones} impossible")
             bit = descent_bit(ones, self.attempt.root_count, prog.b,
                               self.cursor)
             self.attempt.prefix = (bit,)
             if prog.n == 0:
-                self._finish(Example(x=(), y=bit))
+                self._finish(Example.from_joint_bits((bit,)))
             return
         if kind != "walk":
             raise RuntimeError("response without a pending query")
@@ -418,11 +424,6 @@ class _ExtractionRun:
 
 def _label_query(arity: int) -> SQQuery:
     """First alternating round: count examples whose label is one."""
-
-    def evaluate(example: Example) -> np.ndarray:
-        out = np.zeros(arity)
-        out[0] = float(example.y)
-        return out
-
-    return SQQuery(arity=arity, evaluator=evaluate,
-                   restriction=LabelRestriction.ONE_QUERY, name="label")
+    return replace(prefix_query((), 0, pad_to=arity,
+                                restriction=LabelRestriction.ONE_QUERY),
+                   name="label")

@@ -35,6 +35,7 @@ from .problems import (
     ZeroPredictor,
     ParityPredictor,
     clip_predictor,
+    joint_bit_matrix,
     population_loss,
     sample_batch,
 )
@@ -122,15 +123,28 @@ class SQQuery:
 
     The evaluator maps an example to `arity` reals in [-1, 1].  Queries
     carrying a label restriction must vanish identically on the other
-    label; this is enforced whenever the query is evaluated.
+    label; this is enforced whenever the query is evaluated.  An
+    optional block maps a (k, n+1) int8 matrix of joint bits (y first)
+    to the evaluator's (k, arity) values on its rows, bit for bit.
     """
 
     arity: int
     evaluator: Callable[[Example], Sequence[float]]
     restriction: LabelRestriction = LabelRestriction.NONE
     name: str = ""
+    block: Callable[[np.ndarray], np.ndarray | None] | None = None
 
-    def evaluate(self, example: Example) -> np.ndarray:
+    def evaluate(self, example: Example | Sequence[Example],
+                 bits: np.ndarray | None = None) -> np.ndarray:
+        """Values on one example, (arity,), or on k, (k, arity); `bits` may
+        carry their joint bits.  A failed block check defers to the loop."""
+        if not isinstance(example, Example):
+            if self.block is not None and len(example):
+                vals = self.block_values(
+                    joint_bit_matrix(example) if bits is None else bits)
+                if vals is not None:
+                    return vals
+            return np.stack([self.evaluate(ex) for ex in example])
         raw = np.asarray(self.evaluator(example), dtype=float)
         if raw.shape != (self.arity,):
             raise ValueError(
@@ -145,11 +159,28 @@ class SQQuery:
             )
         return raw
 
+    def block_values(self, bits: np.ndarray) -> np.ndarray | None:
+        """The block's values on `bits` if they pass every check, else None."""
+        try:  # None from the block fails the shape check
+            vals = np.ascontiguousarray(self.block(bits), dtype=float)
+        except Exception:  # the per-example loop names the fault
+            return None
+        if vals.shape != (len(bits), self.arity):
+            return None
+        # an entry past 1 goes to the loop, which passes a row with a NaN
+        if (np.abs(vals) > 1.0 + 1e-12).any():
+            return None
+        forced = self.restriction.forced_label
+        if forced is not None and np.any(vals[bits[:, 0] != forced] != 0.0):
+            return None
+        return vals
+
 
 def constant_zero_query(arity: int, restriction: LabelRestriction) -> SQQuery:
     """Padding query: identically zero, with the requested restriction."""
     zeros = [0.0] * arity
-    return SQQuery(arity, lambda ex: zeros, restriction, name="pad-zero")
+    return SQQuery(arity, lambda ex: zeros, restriction, name="pad-zero",
+                   block=lambda bits: np.zeros((len(bits), arity)))
 
 
 def _sparse_to_payload(g: dict[int, float]) -> dict:
@@ -277,7 +308,7 @@ class _SupportValueCache:
         hit = self._cache.get(id(query))
         if hit is not None and hit[0] is query:
             return hit[1]
-        vals = np.stack([query.evaluate(ex) for ex in self.D.support])
+        vals = query.evaluate(self.D.support, self.D.joint_bits)
         self._cache[id(query)] = (query, vals)
         return vals
 
@@ -393,12 +424,13 @@ class FBSQOracle(_QueryOracle):
         self.batch = batch
         self.m = len(batch.items)
         self._codes = [ex.joint_code() for ex in batch.items]
+        self._bits = joint_bit_matrix(batch.items)
         self.record_items = record_items
         self.transcript = Transcript(
             meta={"kind": self.kind, "m": self.m, "tau": self.tau})
 
     def _rows(self, query: SQQuery):
-        vals = np.stack([query.evaluate(ex) for ex in self.batch.items])
+        vals = query.evaluate(self.batch.items, self._bits)
         return vals, vals.mean(axis=0), self._codes
 
 

@@ -10,6 +10,7 @@ prefix over the joint bits is needed.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,7 @@ __all__ = [
     "ParityPredictor",
     "clip_predictor",
     "sample_batch",
+    "joint_bit_matrix",
     "population_loss",
     "prefix_probability",
     "load_distribution",
@@ -43,6 +45,7 @@ class Example:
 
     x: tuple[int, ...]
     y: int
+    _shared = weakref.WeakValueDictionary()  # no annotation: not a field
 
     def __post_init__(self) -> None:
         if any(b not in (0, 1) for b in self.x):
@@ -60,10 +63,18 @@ class Example:
 
     def joint_code(self) -> int:
         """Integer with z_1 = y as the most significant bit."""
-        code = self.y
-        for b in self.x:
-            code = (code << 1) | b
+        code = self.__dict__.get("_code")
+        if code is None:  # frozen, so worked out once
+            code = self.y
+            for b in self.x:
+                code = (code << 1) | b
+            object.__setattr__(self, "_code", code)
         return code
+
+    @classmethod
+    def from_joint_bits(cls, z: tuple[int, ...]) -> "Example":
+        """The example with joint bits z; equal ones share one object."""
+        return cls._shared.setdefault(z, cls(x=z[1:], y=z[0]))
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,7 @@ class FiniteDistribution:
         self.joint_codes: np.ndarray = np.array(
             [ex.joint_code() for ex in self.support], dtype=np.int64
         )
+        self.joint_bits: np.ndarray = joint_bit_matrix(self.support)
 
     def __len__(self) -> int:
         return len(self.support)
@@ -182,6 +194,11 @@ class FiniteDistribution:
             y = (sum(a * b for a, b in zip(mask, x)) + bias) % 2
             entries.append((Example(x, y), p))
         return cls(n, entries)
+
+
+def joint_bit_matrix(examples) -> np.ndarray:
+    """(k, n+1) int8 matrix of the joint bits (y first) of k examples."""
+    return np.array([ex.joint_bits() for ex in examples], dtype=np.int8)
 
 
 def sample_batch(D: FiniteDistribution, b: int, seed: int) -> Batch:

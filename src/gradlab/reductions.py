@@ -173,18 +173,27 @@ def _label_scaled_query(query: SQQuery, label: int) -> SQQuery:
         weight = float(example.y if label == 1 else 1 - example.y)
         return weight * query.evaluate(example)
 
+    def block(bits: np.ndarray) -> np.ndarray | None:
+        vals, y = query.block_values(bits), bits[:, :1].astype(float)
+        return None if vals is None else (y if label == 1 else 1 - y) * vals
+
     restriction = (LabelRestriction.ONE_QUERY if label == 1
                    else LabelRestriction.ZERO_QUERY)
     return SQQuery(arity=query.arity, evaluator=evaluate,
-                   restriction=restriction, name=f"{query.name}|y={label}")
+                   restriction=restriction, name=f"{query.name}|y={label}",
+                   block=query.block and block)
 
 
 def _coordinate_query(query: SQQuery, j: int) -> SQQuery:
     def evaluate(example: Example) -> np.ndarray:
         return query.evaluate(example)[j:j + 1]
 
+    def block(bits: np.ndarray) -> np.ndarray | None:
+        vals = query.block_values(bits)
+        return None if vals is None else vals[:, j:j + 1]
+
     return SQQuery(arity=1, evaluator=evaluate, restriction=query.restriction,
-                   name=f"{query.name}[{j}]")
+                   name=f"{query.name}[{j}]", block=query.block and block)
 
 
 def _check_scalar(inner: QueryProgram, q: int, what: str) -> None:
@@ -534,7 +543,7 @@ class ReplayOracle(_QueryOracle):
         if self.rounds >= len(self.batches):
             raise RuntimeError("replay oracle ran out of recorded batches")
         items = self.batches[self.rounds]
-        vals = np.stack([query.evaluate(ex) for ex in items])
+        vals = query.evaluate(items)
         return vals, vals.mean(axis=0), [ex.joint_code() for ex in items]
 
 
@@ -552,7 +561,7 @@ def population_violation_rate(D: FiniteDistribution, query: SQQuery, b: int,
         raise ValueError("batch size must be positive")
     if trials <= 0:
         raise ValueError("need at least one trial")
-    vals = np.stack([query.evaluate(ex) for ex in D.support])
+    vals = query.evaluate(D.support, D.joint_bits)
     exact = D.probs @ vals
     candidate = exact if response is None else np.asarray(response, float)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C1]))

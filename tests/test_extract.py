@@ -1,10 +1,13 @@
 """Tests for prefix-descent example extraction."""
+import itertools
+
 import numpy as np
 import pytest
 
 from gradlab.extract import (
     ExtractionProgram,
     Failure,
+    _CountError,
     descent_bit,
     extract_m_samples,
     fb_extract_all,
@@ -21,7 +24,13 @@ from gradlab.paradigms import (
     LabelRestriction,
     NoiseAdversary,
 )
-from gradlab.problems import Batch, Example, FiniteDistribution, ZeroPredictor
+from gradlab.problems import (
+    Batch,
+    Example,
+    FiniteDistribution,
+    ZeroPredictor,
+    sample_batch,
+)
 
 
 def two_point_uniform(n: int = 4) -> FiniteDistribution:
@@ -405,6 +414,34 @@ def test_fixed_batch_alternating_program_recovers_batch():
     got = sorted(ex.joint_code() for ex in run.predictor)
     hidden = run.transcript.records[0].batch_codes
     assert got == sorted(hidden)
+
+
+def test_alternating_label_round_rejects_impossible_count():
+    # every label is one, so once an example is taken a label count of
+    # zero leaves -1 ones among the rest: no batch gives that answer
+    D = FiniteDistribution.uniform_over(
+        [Example(x, 1) for x in itertools.product((0, 1), repeat=3)])
+    oracle = FBSQOracle(sample_batch(D, 8, seed=0), tau=1 / 32)
+    honest = 5
+
+    class LabelLiar:
+        asks = 0
+
+        def ask(self, query):
+            self.asks += 1
+            if query.name == "label" and self.asks > honest:
+                return np.zeros(query.arity)
+            return oracle.ask(query)
+
+    program = ExtractionProgram(n=3, b=8, tau=1 / 32, m=6, rounds=200,
+                                learner=_keep_samples, alternating=True,
+                                fixed_batch=True)
+    run = program.start((0,) * program.random_bits)
+    liar = LabelLiar()
+    with pytest.raises(_CountError, match="label count -1"):
+        while (query := run.next_query()) is not None:
+            run.receive(liar.ask(query))
+    assert len(run.examples) >= 1 and liar.asks > honest
 
 
 def test_program_replay_is_pure_in_bits_and_responses():
