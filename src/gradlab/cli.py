@@ -628,17 +628,15 @@ class VerifyReport:
         return self.flagged == 0
 
 
-def _as_vector(payload) -> np.ndarray:
+def _as_vector(payload, index: int) -> np.ndarray:
     if isinstance(payload, dict):
-        if set(payload) == {"idx", "val"}:
-            size = (max(payload["idx"]) + 1) if payload["idx"] else 0
-            out = np.zeros(size)
-            for i, v in zip(payload["idx"], payload["val"]):
-                out[int(i)] = float(v)
-            return out
-        out = np.zeros(max((int(k) for k in payload), default=-1) + 1)
-        for k, v in payload.items():
-            out[int(k)] = float(v)
+        if set(payload) != {"idx", "val"}:
+            raise ValueError(f"round {index}: sparse payload needs keys "
+                             f"idx and val, got {sorted(payload)}")
+        size = (max(payload["idx"]) + 1) if payload["idx"] else 0
+        out = np.zeros(size)
+        for i, v in zip(payload["idx"], payload["val"]):
+            out[int(i)] = float(v)
         return out
     return np.atleast_1d(np.asarray(payload, dtype=float))
 
@@ -659,7 +657,8 @@ def verify_transcript(path: str | Path) -> VerifyReport:
     by round; query transcripts (population, fresh-batch, frozen-batch
     and replayed) must stay within tolerance of the recorded mean.
     Rounds missing the data needed for the check are flagged rather
-    than skipped.
+    than skipped; a dict payload other than {"idx", "val"} raises
+    ValueError naming its round.
     """
     transcript = Transcript.from_jsonl(path)
     kind = str(transcript.meta.get("kind", "unknown"))
@@ -669,8 +668,8 @@ def verify_transcript(path: str | Path) -> VerifyReport:
             verdicts.append(RoundVerdict(rec.index, rec.kind, False,
                                          "missing response or mean"))
             continue
-        response, mean = _aligned(_as_vector(rec.response),
-                                  _as_vector(rec.exact_mean))
+        response, mean = _aligned(_as_vector(rec.response, rec.index),
+                                  _as_vector(rec.exact_mean, rec.index))
         if rec.kind in ("bsgd", "fbgd"):
             rho = float(transcript.meta["rho"])
             if np.max(np.abs(mean)) > 1.0 + 1e-9:

@@ -31,6 +31,7 @@ from .paradigms import (
     MethodRun,
     PadTail,
     QueryProgram,
+    RoundBlock,
     SQQuery,
     round_restriction,
     run_bsgd,
@@ -104,6 +105,13 @@ def snap_responses(v, grid: float, bound: float | None = None) -> np.ndarray:
                 f"response sits {dist:.3g} from the {grid} grid, "
                 f"allowance {limit:.3g}")
     return snapped
+
+
+def _rounded_bits(head: np.ndarray) -> tuple[int, ...]:
+    """tuple(map(round, head)), in one pass when every entry is 0 or 1."""
+    if ((head == 0.0) | (head == 1.0)).all():
+        return tuple(head.astype(np.int64).tolist())
+    return tuple(map(round, head.tolist()))
 
 
 def build_single_query_model(query: SQQuery,
@@ -287,7 +295,7 @@ class _CompiledCore:
             if not np.array_equal(w[:n], cur.w[:n]):
                 cur = None
         if cur is None:
-            cur = _ProgramCursor(self.prog, self.bits_of(w))
+            cur = _ProgramCursor(self.prog, _rounded_bits(w[:self.layout.r]))
         i = self._walk(w, cur.fed + 1)
         self._check_later_clocks(w, i)
         cur.w, cur.hint = w, i
@@ -348,9 +356,6 @@ class _CompiledCore:
             raise TrajectoryError(f"clock {j} fired before clock {j - 1}")
 
     # -- program replay
-
-    def bits_of(self, w: np.ndarray) -> tuple[int, ...]:
-        return tuple(map(round, w[:self.layout.r].tolist()))
 
     def _snapped_block(self, w: np.ndarray, t: int) -> np.ndarray:
         blk = self.layout.theta(w, t)
@@ -560,12 +565,13 @@ class _RoundLog:
     only by the writes that logged responses made away from their
     clocks; those are kept with the value they left behind.  Active
     rounds also keep their query's batch average (pad rounds: zero).
+    Clock values come in arrays, of one round or a run of pad rounds.
     """
 
     def __init__(self, base: np.ndarray):
         self.base = base
         self.first = 1
-        self.kappas: list[float] = []
+        self.kappas: list[np.ndarray] = []
         self.avgs: list[tuple[int, np.ndarray]] = []
         self.writes: list[tuple[int, list[tuple[int, float | None]]]] = []
         self.found: list[tuple[int, int, str]] = []
@@ -595,8 +601,12 @@ class TrajectoryAuditor:
     away from the clock, the batch average of an active round's query)
     and feeds the replay; all the checks run in one pass over the
     recorded rounds at the final round, or whenever `audit` is read,
-    with findings in round order.
+    with findings in round order.  Runs without a transcript hand `hook`
+    pad passes as RoundBlocks (`takes_round_blocks`): rounds past the
+    replay's finish writing only their clocks are recorded at once.
     """
+
+    takes_round_blocks = True
 
     def __init__(self, prog: QueryProgram, rho: float):
         self.prog = prog
@@ -607,7 +617,7 @@ class TrajectoryAuditor:
         self._cursor: _ProgramCursor | None = None
         self._log: _RoundLog | None = None
         self._blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self._bits: tuple[float, ...] | None = None
+        self._bits: np.ndarray | None = None
 
     @property
     def audit(self) -> TrajectoryAudit:
@@ -615,16 +625,57 @@ class TrajectoryAuditor:
         self._check()
         return self._audit
 
-    def hook(self, info: BSGDRoundInfo) -> None:
+    def hook(self, info: BSGDRoundInfo | RoundBlock) -> None:
+        if isinstance(info, RoundBlock):
+            self._take_block(info)
+        else:
+            self._take_round(info)
+
+    def _take_block(self, block: RoundBlock) -> None:
+        lay = self.layout
+        coords, first, k = block.coords, block.first, len(block.coords)
+        i = first + np.arange(k)
+        # rounds that write only their own clock; a run of them stops at
+        # round T, which is checked, and leaves round 1 to reset the audit
+        own = (coords == lay.kappa_index(1) + (lay.p + 1) * (i - 1)) \
+            & (i > 1) & (i != lay.T + 1)
+        w = block.w.copy()
+        w[coords] = block.before
+        j = 0
+        while j < k:
+            cur = self._cursor
+            if not (own[j] and cur and cur.finished_at is not None):
+                c = int(coords[j])
+                w[c] = block.after[j]
+                self._take_round(BSGDRoundInfo(int(i[j]), tuple(
+                    [block.pool[x] for x in block.rows[j].tolist()]),
+                    {c: float(block.avg[j])}, {c: float(block.response[j])},
+                    w))
+                j += 1
+                continue
+            stop = j + int(np.argmin(np.append(own[j:], False)))
+            w[coords[j:stop]] = block.after[j:stop]
+            audit, log, n = self._audit, self._log, stop - j
+            audit.rounds += n
+            audit.pad_rounds += n
+            log.kappas.append(block.after[j:stop])
+            audit.clip_activations += int((block.labels[block.rows[j:stop]]
+                                           == i[j:stop, None] % 2).sum())
+            j = stop
+            if i[j - 1] == lay.T:
+                self._check()
+                self._final_sweep(w)
+
+    def _take_round(self, info: BSGDRoundInfo) -> None:
         lay = self.layout
         i = info.index
         w = info.w
         audit = self._audit
         if i == 1:
             self._check()
-            self._bits = tuple(w[:lay.r].tolist())
+            self._bits = w[:lay.r].copy()
             self._cursor = _ProgramCursor(
-                self.prog, tuple(map(round, self._bits)))
+                self.prog, _rounded_bits(self._bits))
             self._log = _RoundLog(w.copy())
             self._blocks = []
             audit.trials += 1
@@ -647,10 +698,10 @@ class TrajectoryAuditor:
             audit.pad_rounds += 1
         else:
             audit.active_rounds += 1
-            log.avgs.append((len(log.kappas), np.mean(
+            log.avgs.append((i - log.first, np.mean(
                 query.evaluate(info.batch), axis=0) if info.batch
                 else np.zeros(lay.p)))
-        log.kappas.append(float(w[top]))
+        log.kappas.append(np.array([w[top]]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
         audit.clip_activations += [ex.y for ex in info.batch].count(i % 2)
@@ -669,7 +720,7 @@ class TrajectoryAuditor:
             return
         lay = self.layout
         p, stride = lay.p, lay.p + 1
-        first, k = log.first, len(log.kappas)
+        first, k = log.first, sum(map(len, log.kappas))
         found = log.found
         s = lay.start(first)
         theta = log.base[s:s + stride * k].reshape(k, stride)[:, :p].copy()
@@ -687,7 +738,7 @@ class TrajectoryAuditor:
                 row = block + 1 - first
                 if idx >= lay.r and col < p and t - first <= row < k:
                     theta[row, col] = after
-        kappa = np.array(log.kappas)
+        kappa = np.concatenate(log.kappas) if log.kappas else np.zeros(0)
         gap = np.zeros(k)
         drift = np.zeros(k)
         touched = theta.any(axis=1)
@@ -715,7 +766,7 @@ class TrajectoryAuditor:
         if k:
             low = int(np.argmin(np.where(kappa == kappa, kappa, np.inf)))
             if kappa[low] < audit.min_clock_after_fire:
-                audit.min_clock_after_fire = log.kappas[low]
+                audit.min_clock_after_fire = float(kappa[low])
         for row in np.flatnonzero(gap > 3.0 * self.rho + 1e-12).tolist():
             found.append((first + row, 2,
                           f"round {first + row} response sits "
@@ -724,7 +775,7 @@ class TrajectoryAuditor:
         for row in np.flatnonzero(kappa < self.rho).tolist():
             found.append((first + row, 3,
                           f"round {first + row} clock reached only "
-                          f"{log.kappas[row]}, below rho"))
+                          f"{float(kappa[row])}, below rho"))
         found.sort(key=lambda f: f[:2])
         audit.violations.extend(f[2] for f in found)
         self._blocks.append((first, theta, kappa))

@@ -62,6 +62,7 @@ __all__ = [
     "run_bsgd",
     "run_fbgd",
     "BSGDRoundInfo",
+    "RoundBlock",
     "ProgramRun",
     "QueryProgram",
     "GeneratorProgram",
@@ -527,12 +528,33 @@ class ModelSnapshot:
 
 @dataclass
 class BSGDRoundInfo:
-    """Post-update view of one gradient round, passed to audit hooks."""
+    """Post-update view of one gradient round, passed to audit hooks; a
+    `takes_round_blocks` hook gets transcript-free pad passes as blocks."""
 
     index: int
     batch: tuple[Example, ...]
     avg: object
     response: object
+    w: np.ndarray
+
+
+@dataclass
+class RoundBlock:
+    """Post-update view of k pad rounds, for hooks that take a block:
+    round `first + j` drew pool rows `rows[j]` (labels: `labels`), whose
+    clipped gradients average to `avg[j]` at coordinate `coords[j]`
+    (distinct in a block), which `response[j]` moved from `before[j]` to
+    `after[j]`; `w` is the vector after the last round."""
+
+    first: int
+    pool: Sequence[Example]
+    labels: np.ndarray
+    rows: np.ndarray
+    coords: np.ndarray
+    avg: np.ndarray
+    response: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
     w: np.ndarray
 
 
@@ -588,19 +610,17 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
     return grads, avg, response
 
 
-_PAD_SLICE = 1024
-
-
-def _pad_pass(tail: PadTail, rows: np.ndarray, labels: np.ndarray,
-              w: np.ndarray, rho: float, gamma: float,
-              rounding: RoundingOracle):
+def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
+              labels: np.ndarray, rows: np.ndarray, w: np.ndarray,
+              rho: float, gamma: float, rounding: RoundingOracle
+              ) -> tuple[RoundBlock, np.ndarray]:
     """Every round of a pad tail at once, as the per-example loop does it.
 
     Each round's clipped gradients are summed in batch order, averaged
     and rounded (entrywise, so one call covers all rounds); the pass
     ends after the first round that leaves its clock unfired.  Returns
-    (grads, avg, response, after) for the rounds it covers, `after`
-    being each written coordinate's value once its round has stepped.
+    the block of rounds it covers, with w not yet stepped, and their
+    (k, b) clipped per-example gradients.
     """
     k, b = rows.shape
     grads = np.where(labels[rows] == 1, tail.grad1[:k, None],
@@ -614,7 +634,10 @@ def _pad_pass(tail: PadTail, rows: np.ndarray, labels: np.ndarray,
     after = np.where(response != 0.0, before - gamma * response, before)
     unfired = np.flatnonzero(~(after >= tail.fire))
     n = int(unfired[0]) + 1 if unfired.size else k
-    return grads[:n], avg[:n], response[:n], after[:n]
+    return RoundBlock(first=first, pool=pool, labels=labels, rows=rows[:n],
+                      coords=tail.coords[:n], avg=avg[:n],
+                      response=response[:n], before=before[:n],
+                      after=after[:n], w=w), grads[:n]
 
 
 def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
@@ -627,6 +650,9 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
     `draw(k)` returns the next k batches as a (k, b) array of indices
     into `pool`.  Rounds the model can state in closed form (its
     `pad_tail`) take one pass; every other round clips per example.
+    Without a transcript a pad pass steps in one assignment and goes as
+    one RoundBlock to a hook whose `__self__` sets `takes_round_blocks`
+    (TrajectoryAuditor.hook); other hooks get a BSGDRoundInfo per round.
     """
     grid_exponent(rho)
     bits = _draw_init_bits(seed, model.random_bits)
@@ -638,6 +664,8 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
         "seed": seed, "dim": model.dim, "model": model.name,
         "strategy": rounding.strategy.value,
     })
+    blocks = not record and (hook is None or getattr(
+        getattr(hook, "__self__", None), "takes_round_blocks", False))
     ahead = np.empty((0, b), dtype=np.intp)
     labels = None
 
@@ -678,27 +706,29 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
             if labels is None:
                 labels = np.array([ex.y for ex in pool])
             rows = take(min(len(tail.coords), T - t + 1))
-            grads, avg, response, after = _pad_pass(
-                tail, rows, labels, w, rho, gamma, rounding)
-            n = len(avg)
+            block, grads = _pad_pass(tail, t, pool, labels, rows, w, rho,
+                                     gamma, rounding)
+            n = len(block.coords)
             ahead = np.concatenate([rows[n:], ahead])
-            coords = tail.coords[:n]
-            # hand rounds out a slice at a time, so that few per-round
-            # Python objects are alive at once
-            for lo in range(0, n, _PAD_SLICE):
-                part = slice(lo, lo + _PAD_SLICE)
-                per_item = (grads[part].tolist() if record and record_items
-                            else repeat(None))
-                for c, a, v, x, row, g in zip(
-                        coords[part].tolist(), avg[part].tolist(),
-                        response[part].tolist(), after[part].tolist(),
-                        rows[part].tolist(), per_item):
-                    if v != 0.0:
-                        w[c] = x
-                    finish_round(t, tuple([pool[i] for i in row]), {c: a},
-                                 {c: v},
-                                 None if g is None else [{c: gi} for gi in g])
-                    t += 1
+            if blocks:
+                w[block.coords] = block.after
+                transcript.samples_consumed += n * b if kind == "bsgd" else 0
+                if hook is not None:
+                    hook(block)
+                t += n
+                continue
+            per_item = (grads.tolist() if record and record_items
+                        else repeat(None))
+            for c, a, v, x, row, g in zip(
+                    block.coords.tolist(), block.avg.tolist(),
+                    block.response.tolist(), block.after.tolist(),
+                    block.rows.tolist(), per_item):
+                if v != 0.0:
+                    w[c] = x
+                finish_round(t, tuple([pool[i] for i in row]), {c: a},
+                             {c: v},
+                             None if g is None else [{c: gi} for gi in g])
+                t += 1
             continue
         items = tuple([pool[i] for i in take(1)[0]])
         grads, avg, response = _gradient_step(model, w, items, rho, gamma,

@@ -327,6 +327,17 @@ class TestVerify:
         assert report.flagged == 1
         assert [v.index for v in report.verdicts if not v.ok] == [10]
 
+    def test_int_keyed_payload_rejected(self, gradient_transcript, tmp_path):
+        # the library writes sparse payloads only as {"idx", "val"}
+        lines = gradient_transcript.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["response"] = {"3": 0.5}
+        lines[4] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^round {record['round']}: "):
+            verify_transcript(bad)
+
 
 class TestMain:
     def test_run_pass_and_fail_exits(self, tmp_path, capsys):

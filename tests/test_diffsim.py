@@ -11,6 +11,7 @@ from gradlab.diffsim import (
     SnapBoundError,
     TrajectoryAuditor,
     TrajectoryError,
+    _rounded_bits,
     build_single_query_model,
     central_loss_fd,
     clock_gate,
@@ -633,3 +634,20 @@ class TestPipelineIntegration:
         audit = auditor.check()
         assert audit.trials == 2
         assert 0.0 <= estimate.mean <= 1.0
+
+
+@pytest.mark.parametrize("head", [
+    [], [0.0, 1.0, -0.0, 1.0], [0.0, 0.5, 1.0], [1.5, 2.5, -0.5, 3.0],
+    [1.0, 1.0 + 2.0 ** -52, 2.0 ** 70], [1.0, float("nan")],
+    [0.0, float("inf")]])
+def test_rounded_bits_is_python_round(head):
+    # a replay's bits: one numpy pass on 0/1 blocks, Python's round else
+    head = np.array(head, dtype=float)
+    try:
+        want = tuple(map(round, head.tolist()))
+    except (ValueError, OverflowError) as err:
+        with pytest.raises(type(err), match=str(err)):
+            _rounded_bits(head)
+        return
+    got = _rounded_bits(head)
+    assert got == want and all(type(v) is int for v in got)
