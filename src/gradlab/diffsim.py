@@ -201,8 +201,7 @@ class _ProgramCursor:
 
     def __init__(self, prog: QueryProgram, bits: tuple[int, ...]):
         self.prog = prog
-        self.bits = tuple(bits)
-        self.run = prog.start(self.bits)
+        self.run = prog.start(bits)
         self.w: np.ndarray | None = None
         self.hint = 1
         self.fed = 0
@@ -486,6 +485,52 @@ class _CompiledCore:
         g[kidx] = lp * sign
         return g
 
+    def batch_gradient(self, w: np.ndarray, items, bits: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`gradient` on every example of a round, as one block: one
+        query evaluation on `bits` relabelled to the round's label, and
+        1-D dots as in `gradient`, since a matrix product may round
+        differently (the sign of a zero dot never reaches f)."""
+        cur, i = self._locate(w)
+        lay = self.layout
+        b = len(items)
+        if i == lay.T + 1:
+            empty = np.zeros((b, 0))
+            return np.zeros(0, np.intp), empty, empty != 0.0
+        kidx = lay.kappa_index(i)
+        kap = float(w[kidx])
+        q = self._query(cur, w, i)
+        odd = i % 2 == 1
+        feats, inner = np.ones((b, 1)), 0.0  # the clock's column
+        if q is not None:
+            label = 1 if odd else 0
+            relabelled = bits.copy()
+            relabelled[:, 0] = label
+            vals = q.evaluate(_Relabelled(items, label), relabelled)
+            theta = lay.theta(w, i)
+            # a block not yet written gives exact (signed) zeros or NaN
+            inner = (np.array([row @ theta for row in vals]) if theta.any()
+                     else (vals * theta).sum(axis=1))
+            feats = np.concatenate((vals, feats), axis=1)
+        f = inner + kap - self.eps if odd else 1.0 - inner - kap + self.eps
+        slope = (f - bits[:, 0]) * (1.0 if odd else -1.0)
+        coords = np.arange(kidx + 1 - feats.shape[1], kidx + 1)
+        return coords, slope[:, None] * feats, feats != 0.0
+
+
+class _Relabelled:
+    """Examples relabelled lazily, for a query's per-example loop only."""
+
+    def __init__(self, items, label: int):
+        self.items = items
+        self.label = label
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return (Example(ex.x, self.label) for ex in self.items)
+
 
 def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
     """Bake an alternating query program into a trainable model.
@@ -501,8 +546,9 @@ def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
     any vector that agrees on the blocks already replayed, so a vector
     may change in place only as a descent step changes it, in the block
     of its active round; pass anything else (a probe, an edited
-    iterate) as a copy.  Finished programs state their pad rounds
-    through `pad_tail`.
+    iterate) as a copy.  A round's gradients come as one block through
+    `batch_gradient`; finished programs state their pad rounds through
+    `pad_tail`.
     """
     grid_exponent(rho)
     if not getattr(prog, "alternating", False):
@@ -517,6 +563,7 @@ def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
         loss_gradient=core.gradient,
         name=f"compiled[{getattr(prog, 'name', '') or 'program'}]",
         pad_tail=core.pad_tail,
+        batch_gradient=core.batch_gradient,
     )
 
 

@@ -278,8 +278,8 @@ class _BitCursor:
     tracked separately for randomness accounting.
     """
 
-    def __init__(self, bits: Sequence[int]):
-        self._bits = tuple(map(int, bits))
+    def __init__(self, bits: tuple[int, ...]):
+        self._bits = bits
         self._pos = 0
         self._overflow: BitStream | None = None
         self.overflow_consumed = 0
@@ -344,7 +344,8 @@ class ExtractionProgram:
         per_round = max(1, math.ceil(math.log2(self.b)))
         return self.learner_bits + self.rounds * per_round
 
-    def start(self, bits: tuple[int, ...]) -> "_ExtractionRun":
+    def start(self, bits: Sequence[int]) -> "_ExtractionRun":
+        # the one conversion of the pool; the run's bit cursor shares it
         return _ExtractionRun(self, tuple(map(int, bits)))
 
 

@@ -497,6 +497,14 @@ class DiffModel:
     active round, or None when that round needs per-example gradients;
     the runners then take the whole tail in one pass, with the same
     result as clipping and summing every example of every round.
+
+    batch_gradient(w, items, bits), when given, returns the gradients
+    of the b `items` (joint bits: the (b, n+1) matrix `bits`) as one
+    block: the k distinct coordinates they may touch, a (b, k) array of
+    unclipped values and the (b, k) mask of the entries each example's
+    dict would hold, in that coordinate order.  It must match bit for
+    bit the block the runners otherwise lift from the clipped
+    per-example gradients (for dense ones: coordinates and mask None).
     """
 
     dim: int
@@ -506,6 +514,7 @@ class DiffModel:
     loss_gradient: Callable[[np.ndarray, Example], object]
     name: str = ""
     pad_tail: Callable[[np.ndarray], PadTail | None] | None = None
+    batch_gradient: Callable[..., tuple[np.ndarray, ...]] | None = None
 
 
 @dataclass(eq=False)
@@ -571,43 +580,55 @@ def _clipped_gradient(model: DiffModel, w: np.ndarray, ex: Example) -> object:
     return clip1(g)
 
 
-def _round_sparse(avg: dict[int, float], rho: float,
-                  rounding: RoundingOracle) -> dict[int, float]:
-    if not avg:
-        return {}
-    idx = sorted(avg)
-    vals = np.array([avg[i] for i in idx], dtype=float)
-    rounded = round_approximate(vals, rho, rounding)
-    return dict(zip(idx, rounded.tolist()))
+def _lifted_block(model: DiffModel, w: np.ndarray,
+                  items: Sequence[Example]) -> tuple:
+    """The clipped per-example gradients of `items` as a block: dense
+    ones as they are, sparse ones over their keys in order of first
+    appearance."""
+    grads = [_clipped_gradient(model, w, ex) for ex in items]
+    if not isinstance(grads[0], dict):
+        return None, grads, None
+    keys = list(dict.fromkeys(i for g in grads for i in g))
+    return (np.array(keys, dtype=np.intp),
+            np.array([[g.get(i, 0.0) for i in keys] for g in grads], float),
+            np.array([[i in g for i in keys] for g in grads], bool))
 
 
 def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
-                   rho: float, gamma: float, rounding: RoundingOracle
-                   ) -> tuple[list, object, object]:
-    """Clip per example, average, round; returns (grads, avg, response).
+                   bits: np.ndarray, rho: float, gamma: float,
+                   rounding: RoundingOracle) -> tuple[object, object, object]:
+    """Clip, sum the rows in batch order, average, round, step.
 
-    `grads` are the clipped per-example gradients, summed in batch order.
+    Returns (grads, avg, response), `grads()` listing the clipped rows;
+    a sparse block gives them as dicts, as merged per-example dicts do.
     """
-    b = len(items)
-    grads = [_clipped_gradient(model, w, ex) for ex in items]
-    if isinstance(grads[0], dict):
-        acc = dict(grads[0])
-        for g in grads[1:]:
-            for i, v in g.items():
-                acc[i] = acc.get(i, 0.0) + v
-        avg = {i: v / b for i, v in acc.items()}
-        response = _round_sparse(avg, rho, rounding)
-        for i, v in response.items():
-            if v != 0.0:
-                w[i] -= gamma * v
-        return grads, avg, response
-    acc = np.asarray(grads[0], dtype=float).copy()
-    for g in grads[1:]:
-        acc += g
-    avg = acc / b
-    response = round_approximate(avg, rho, rounding)
-    w -= gamma * response
-    return grads, avg, response
+    if model.batch_gradient is None:
+        coords, grads, present = _lifted_block(model, w, items)
+    else:
+        coords, vals, present = model.batch_gradient(w, items, bits)
+        grads = np.clip(vals, -1.0, 1.0)
+    if present is None:
+        avg = sum(grads[1:], grads[0]) / len(items)
+        response = round_approximate(avg, rho, rounding)
+        w -= gamma * response
+        return lambda: [g.tolist() for g in grads], avg, response
+    # an absent entry adds -0.0, the exact identity, but one absent from
+    # the first row starts from 0.0, as a dict merge's get does; a
+    # running sum is the batch-order sum
+    grads = np.where(present, grads, -0.0)
+    grads[0, ~present[0]] = 0.0
+    avg = grads.cumsum(axis=0)[-1] / len(items)
+    held = np.flatnonzero(present.any(axis=0))
+    first = held[np.argsort(present[:, held].argmax(axis=0), kind="stable")]
+    held = held[np.argsort(coords[held], kind="stable")]
+    rounded = (round_approximate(avg[held], rho, rounding) if held.size
+               else np.zeros(0))
+    nz = rounded != 0.0
+    w[coords[held[nz]]] -= gamma * rounded[nz]
+    return (lambda: [dict(zip(coords[p].tolist(), g[p].tolist()))
+                     for g, p in zip(grads, present)],
+            dict(zip(coords[first].tolist(), avg[first].tolist())),
+            dict(zip(coords[held].tolist(), rounded.tolist())))
 
 
 def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
@@ -640,16 +661,17 @@ def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
                       after=after[:n], w=w), grads[:n]
 
 
-def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
-                         T: int, rho: float, gamma: float,
-                         rounding: RoundingOracle, seed: int, kind: str,
-                         b: int, record: bool, record_items: bool,
+def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
+                         pool_bits: np.ndarray, draw, T: int, rho: float,
+                         gamma: float, rounding: RoundingOracle, seed: int,
+                         kind: str, b: int, record: bool, record_items: bool,
                          record_hashes: bool, hook) -> "MethodRun":
     """Shared loop of run_bsgd and run_fbgd.
 
     `draw(k)` returns the next k batches as a (k, b) array of indices
-    into `pool`.  Rounds the model can state in closed form (its
-    `pad_tail`) take one pass; every other round clips per example.
+    into `pool`, whose joint bits are the rows of `pool_bits`.  Rounds
+    the model can state in closed form (its `pad_tail`) take one pass;
+    every other round is one block step.
     Without a transcript a pad pass steps in one assignment and goes as
     one RoundBlock to a hook whose `__self__` sets `takes_round_blocks`
     (TrajectoryAuditor.hook); other hooks get a BSGDRoundInfo per round.
@@ -688,10 +710,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
                 else response.copy(),
                 exact_mean=dict(avg) if isinstance(avg, dict) else avg.copy(),
                 batch_codes=[ex.joint_code() for ex in items])
-            if item_grads is not None:
-                rec.item_values = [
-                    dict(g) if isinstance(g, dict) else np.asarray(g).tolist()
-                    for g in item_grads]
+            rec.item_values = item_grads
             if record_hashes:
                 rec.iterate_hash = _hash_vector(w)
             transcript.append(rec)
@@ -730,11 +749,12 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example], draw,
                              None if g is None else [{c: gi} for gi in g])
                 t += 1
             continue
-        items = tuple([pool[i] for i in take(1)[0]])
-        grads, avg, response = _gradient_step(model, w, items, rho, gamma,
-                                              rounding)
+        row = take(1)[0]
+        items = tuple([pool[i] for i in row])
+        grads, avg, response = _gradient_step(model, w, items, pool_bits[row],
+                                              rho, gamma, rounding)
         finish_round(t, items, avg, response,
-                     grads if record and record_items else None)
+                     grads() if record and record_items else None)
         t += 1
     transcript.random_bits_consumed = model.random_bits
     if kind == "fbgd":
@@ -763,9 +783,9 @@ def run_bsgd(model: DiffModel, D: FiniteDistribution, T: int, rho: float,
     def draw(k: int) -> np.ndarray:
         return D.draw_indices(rng, b * k).reshape(k, b)
 
-    return _run_gradient_method(model, D.support, draw, T, rho, gamma,
-                                rounding, seed, "bsgd", b, record,
-                                record_items, record_hashes, hook)
+    return _run_gradient_method(model, D.support, D.joint_bits, draw, T,
+                                rho, gamma, rounding, seed, "bsgd", b,
+                                record, record_items, record_hashes, hook)
 
 
 def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
@@ -781,8 +801,9 @@ def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
     def draw(k: int) -> np.ndarray:
         return np.broadcast_to(every, (k, len(items)))
 
-    return _run_gradient_method(model, items, draw, T, rho, gamma, rounding,
-                                seed, "fbgd", len(items), record, record_items,
+    return _run_gradient_method(model, items, joint_bit_matrix(items), draw,
+                                T, rho, gamma, rounding, seed, "fbgd",
+                                len(items), record, record_items,
                                 record_hashes, hook)
 
 

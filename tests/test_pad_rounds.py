@@ -434,30 +434,38 @@ def test_future_clock_set_by_init_fails_at_round_1(tmp_path, value, runner):
 
 def _count_gradient_calls(record_items: bool):
     method, program = _pipeline(2)
-    calls = []
+    calls = {"batch": 0, "example": 0}
     model = method.model
-    counted = dataclasses.replace(
-        model, loss_gradient=lambda *a: calls.append(1) or
-        model.loss_gradient(*a))
+
+    def counted(key, fn):
+        def call(*a):
+            calls[key] += 1
+            return fn(*a)
+        return call
+
+    counted_model = dataclasses.replace(
+        model, loss_gradient=counted("example", model.loss_gradient),
+        batch_gradient=counted("batch", model.batch_gradient))
     auditor = TrajectoryAuditor(program, method.rho)
-    run_bsgd(counted, _dist(), method.T, method.rho, 2, seed=4,
+    run_bsgd(counted_model, _dist(), method.T, method.rho, 2, seed=4,
              record=record_items, record_items=record_items,
              hook=auditor.hook)
     audit = auditor.check()
     assert audit.rounds == method.T
-    return len(calls), audit
+    return calls, audit
 
 
 def test_pad_pass_covers_the_tail():
     calls, audit = _count_gradient_calls(record_items=False)
-    # per-example gradients only for the active rounds and the first pad
-    assert calls == 2 * (audit.active_rounds + 1)
+    # one batch gradient for each active round and the first pad round
+    assert calls == {"batch": audit.active_rounds + 1, "example": 0}
 
 
 def test_recorded_items_are_the_step_gradients():
     calls, audit = _count_gradient_calls(record_items=True)
     # the recorded items are the rows the step summed, not a second pass
-    assert calls == 2 * (audit.active_rounds + 1) == 10
+    assert calls == {"batch": audit.active_rounds + 1, "example": 0}
+    assert audit.active_rounds + 1 == 5
 
 
 def test_every_compiled_model_offers_a_pad_tail():
