@@ -33,6 +33,7 @@ from .paradigms import (
     QueryProgram,
     RoundBlock,
     SQQuery,
+    _IntBits,
     round_restriction,
     run_bsgd,
 )
@@ -107,11 +108,11 @@ def snap_responses(v, grid: float, bound: float | None = None) -> np.ndarray:
     return snapped
 
 
-def _rounded_bits(head: np.ndarray) -> tuple[int, ...]:
+def _rounded_bits(head: np.ndarray) -> _IntBits:
     """tuple(map(round, head)), in one pass when every entry is 0 or 1."""
     if ((head == 0.0) | (head == 1.0)).all():
-        return tuple(head.astype(np.int64).tolist())
-    return tuple(map(round, head.tolist()))
+        return _IntBits(head.astype(np.int64).tolist())
+    return _IntBits(map(round, head.tolist()))
 
 
 def build_single_query_model(query: SQQuery,
@@ -692,12 +693,13 @@ class TrajectoryAuditor:
         while j < k:
             cur = self._cursor
             if not (own[j] and cur and cur.finished_at is not None):
-                c = int(coords[j])
+                c, row = int(coords[j]), block.rows[j]
                 w[c] = block.after[j]
                 self._take_round(BSGDRoundInfo(int(i[j]), tuple(
-                    [block.pool[x] for x in block.rows[j].tolist()]),
+                    [block.pool[x] for x in row.tolist()]),
                     {c: float(block.avg[j])}, {c: float(block.response[j])},
-                    w))
+                    w, None if block.pool_bits is None
+                    else block.pool_bits[row]))
                 j += 1
                 continue
             stop = j + int(np.argmin(np.append(own[j:], False)))
@@ -746,12 +748,14 @@ class TrajectoryAuditor:
         else:
             audit.active_rounds += 1
             log.avgs.append((i - log.first, np.mean(
-                query.evaluate(info.batch), axis=0) if info.batch
+                query.evaluate(info.batch, info.bits), axis=0) if info.batch
                 else np.zeros(lay.p)))
         log.kappas.append(np.array([w[top]]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
-        audit.clip_activations += [ex.y for ex in info.batch].count(i % 2)
+        audit.clip_activations += (
+            [ex.y for ex in info.batch].count(i % 2) if info.bits is None
+            else int(np.count_nonzero(info.bits[:, 0] == i % 2)))
         if query is not None:
             theta = w[top - lay.p:top]
             cur.feed(i, round_nearest_multiple(theta, self.rho)

@@ -23,6 +23,7 @@ from .paradigms import (
     BitStream,
     LabelRestriction,
     SQQuery,
+    _IntBits,
     constant_zero_query,
     round_restriction,
 )
@@ -92,7 +93,8 @@ def prefix_query(prefix: Sequence[int], n: int, *, pad_to: int | None = None,
 
     name = "prefix:" + "".join(str(v) for v in prefix)
     return SQQuery(arity=arity, evaluator=evaluate, restriction=restriction,
-                   name=name, block=block)
+                   name=name, block=block,
+                   key=("prefix", prefix, n, arity, restriction))
 
 
 def descent_bit(w1: int, w: int, batch_size: int, bits) -> int:
@@ -346,7 +348,8 @@ class ExtractionProgram:
 
     def start(self, bits: Sequence[int]) -> "_ExtractionRun":
         # the one conversion of the pool; the run's bit cursor shares it
-        return _ExtractionRun(self, tuple(map(int, bits)))
+        return _ExtractionRun(self, bits if type(bits) is _IntBits
+                              else tuple(map(int, bits)))
 
 
 class _ExtractionRun:
@@ -424,7 +427,10 @@ class _ExtractionRun:
 
 
 def _label_query(arity: int) -> SQQuery:
-    """First alternating round: count examples whose label is one."""
+    """First alternating round: count examples whose label is one.
+
+    The padded depth-0 prefix query of n = 0 renamed: same values, so it
+    keeps that query's key."""
     return replace(prefix_query((), 0, pad_to=arity,
                                 restriction=LabelRestriction.ONE_QUERY),
                    name="label")

@@ -44,6 +44,9 @@ class ToleranceError(ValueError):
     """A tolerance parameter violates an exactness contract."""
 
 
+_DYADIC_EXPONENTS = {2.0 ** -d: d for d in range(MAX_GRID_EXPONENT + 1)}
+
+
 def grid_exponent(step: float) -> int:
     """Return d such that step == 2**-d, or raise GridError.
 
@@ -52,15 +55,15 @@ def grid_exponent(step: float) -> int:
     """
     if not (isinstance(step, (int, float)) and step > 0):
         raise GridError(f"grid step must be positive, got {step!r}")
+    d = _DYADIC_EXPONENTS.get(step)
+    if d is not None:
+        return d
     mantissa, exp = math.frexp(float(step))
     if mantissa != 0.5:
         raise GridError(f"grid step {step!r} is not a power of two")
-    d = 1 - exp
-    if d < 0 or d > MAX_GRID_EXPONENT:
-        raise GridError(
-            f"grid step 2**-{d} outside supported range [1, 2**-{MAX_GRID_EXPONENT}]"
-        )
-    return d
+    raise GridError(
+        f"grid step 2**-{1 - exp} outside supported range [1, 2**-{MAX_GRID_EXPONENT}]"
+    )
 
 
 @dataclass(frozen=True)
@@ -140,19 +143,6 @@ def _nearest(arr: np.ndarray, step: float) -> np.ndarray:
     return q * step
 
 
-def _candidate_quotients(scaled: np.ndarray):
-    """Per entry, the lowest valid quotient and whether two are valid.
-
-    A quotient q is valid when |q - scaled| <= 3/4.  At most two grid
-    points can satisfy that, floor and ceil of the scaled value.
-    """
-    lo = np.floor(scaled)
-    hi = lo + 1.0
-    lo_ok = scaled - lo <= 0.75
-    hi_ok = hi - scaled <= 0.75
-    return lo, hi, lo_ok, hi_ok
-
-
 def _seeded_choice_bits(scaled: np.ndarray, free: np.ndarray, d: int,
                         seed: int) -> np.ndarray:
     """One fair bit per free-band entry, hashed from (entry, step, seed).
@@ -164,17 +154,13 @@ def _seeded_choice_bits(scaled: np.ndarray, free: np.ndarray, d: int,
     randomness at all).
     """
     take_hi = np.zeros(scaled.shape, dtype=bool)
-    flat_scaled = scaled.reshape(-1)
-    flat_free = free.reshape(-1)
-    if not flat_free.any():
-        return take_hi
-    prefix = (b"round-approximate"
-              + seed.to_bytes(16, "little", signed=True)
-              + d.to_bytes(2, "little"))
-    bits = [hashlib.sha256(prefix + struct.pack("<d", val)).digest()[0] & 1
-            for val in flat_scaled[flat_free]]
-    out = take_hi.reshape(-1)
-    out[flat_free] = np.array(bits, dtype=bool)
+    if np.count_nonzero(free):
+        prefix = (b"round-approximate"
+                  + seed.to_bytes(16, "little", signed=True)
+                  + d.to_bytes(2, "little"))
+        take_hi[free] = [
+            hashlib.sha256(prefix + struct.pack("<d", val)).digest()[0] & 1
+            for val in scaled[free].tolist()]
     return take_hi
 
 
@@ -186,22 +172,25 @@ def round_approximate(v, rho: float, oracle: RoundingOracle | None = None) -> np
     forced to q*rho; entries in [q*rho + rho/4, q*rho + 3*rho/4] may go to
     either neighbour, and the strategy decides which.
     """
-    if oracle is None:
-        oracle = RoundingOracle()
     d = grid_exponent(rho)
     arr = np.asarray(v, dtype=float)
-    if arr.size and np.abs(arr).max() > 1.0 + 1e-9:
+    if arr.size and abs(arr).max() > 1.0 + 1e-9:  # a NaN passes
         raise ValueError("round_approximate expects entries in [-1, 1]")
-    strategy = oracle.strategy
+    strategy = RoundingStrategy.NEAREST if oracle is None else oracle.strategy
     if strategy is RoundingStrategy.NEAREST:
         return _nearest(arr, rho)
+    # a quotient q is valid when |q - scaled| <= 3/4: at most two grid
+    # points are, floor and ceil of the scaled value
     scaled = arr / rho
-    lo, hi, lo_ok, hi_ok = _candidate_quotients(scaled)
+    lo = np.floor(scaled)
+    hi = lo + 1.0
     if strategy is RoundingStrategy.ADVERSARIAL_UP:
-        q = np.where(hi_ok, hi, lo)
+        q = np.where(hi - scaled <= 0.75, hi, lo)
     elif strategy is RoundingStrategy.ADVERSARIAL_DOWN:
-        q = np.where(lo_ok, lo, hi)
+        q = np.where(scaled - lo <= 0.75, lo, hi)
     elif strategy is RoundingStrategy.SEEDED_RANDOM:
+        lo_ok = scaled - lo <= 0.75
+        hi_ok = hi - scaled <= 0.75
         take_hi = _seeded_choice_bits(scaled, lo_ok & hi_ok, d, oracle.seed)
         q = np.where(hi_ok & (take_hi | ~lo_ok), hi, lo)
     else:  # pragma: no cover - exhaustive enum
@@ -215,9 +204,10 @@ def valid_rounding(g, v, rho: float) -> bool:
     g_arr = np.asarray(g, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     scaled = g_arr / rho
-    on_grid = (np.abs(scaled - np.rint(scaled)) < 1e-9).all()
-    within = (np.abs(g_arr - v_arr) <= 0.75 * rho + 1e-12 * rho).all()
-    return bool(on_grid and within)
+    on_grid = abs(scaled - np.rint(scaled)) < 1e-9
+    within = abs(g_arr - v_arr) <= 0.75 * rho + 1e-12 * rho
+    return (np.count_nonzero(on_grid) == on_grid.size
+            and np.count_nonzero(within) == within.size)
 
 
 def recover_batch_average(v, b: int, tau: float) -> EmpiricalAverage | list[EmpiricalAverage]:

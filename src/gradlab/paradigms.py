@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Hashable, Protocol, Sequence
 
 import numpy as np
 
@@ -127,6 +127,12 @@ class SQQuery:
     label; this is enforced whenever the query is evaluated.  An
     optional block maps a (k, n+1) int8 matrix of joint bits (y first)
     to the evaluator's (k, arity) values on its rows, bit for bit.
+
+    An optional hashable key names the values: two queries with equal
+    keys return the same values and pass or fail the same checks on any
+    rows, so an oracle may evaluate them once.  A `dataclasses.replace`
+    that changes `evaluator`, `block`, `arity` or `restriction` must
+    also drop the key (`key=None`).
     """
 
     arity: int
@@ -134,6 +140,7 @@ class SQQuery:
     restriction: LabelRestriction = LabelRestriction.NONE
     name: str = ""
     block: Callable[[np.ndarray], np.ndarray | None] | None = None
+    key: Hashable | None = None
 
     def evaluate(self, example: Example | Sequence[Example],
                  bits: np.ndarray | None = None) -> np.ndarray:
@@ -181,7 +188,8 @@ def constant_zero_query(arity: int, restriction: LabelRestriction) -> SQQuery:
     """Padding query: identically zero, with the requested restriction."""
     zeros = [0.0] * arity
     return SQQuery(arity, lambda ex: zeros, restriction, name="pad-zero",
-                   block=lambda bits: np.zeros((len(bits), arity)))
+                   block=lambda bits: np.zeros((len(bits), arity)),
+                   key=("pad-zero", arity, restriction))
 
 
 def _sparse_to_payload(g: dict[int, float]) -> dict:
@@ -296,21 +304,22 @@ def _apply_noise(mean: np.ndarray, tau: float, adversary: NoiseAdversary,
 class _SupportValueCache:
     """Per-oracle cache of query values on the support of D.
 
-    Keyed by query identity; the query object is retained so ids cannot
-    be recycled.  Evaluating on the support also runs the range and
-    restriction checks on every example the oracle could ever draw.
+    Keyed by `query.key`, or by the query object itself (its identity)
+    when it has none.  Evaluating on the support also runs the range
+    and restriction checks on every example the oracle could ever draw;
+    a query failing them raises before anything is stored.
     """
 
     def __init__(self, D: FiniteDistribution):
         self.D = D
-        self._cache: dict[int, tuple[SQQuery, np.ndarray]] = {}
+        self._cache: dict[Hashable, np.ndarray] = {}
 
     def values(self, query: SQQuery) -> np.ndarray:
-        hit = self._cache.get(id(query))
-        if hit is not None and hit[0] is query:
-            return hit[1]
-        vals = query.evaluate(self.D.support, self.D.joint_bits)
-        self._cache[id(query)] = (query, vals)
+        key = query if query.key is None else query.key
+        vals = self._cache.get(key)
+        if vals is None:
+            vals = query.evaluate(self.D.support, self.D.joint_bits)
+            self._cache[key] = vals
         return vals
 
 
@@ -538,13 +547,15 @@ class ModelSnapshot:
 @dataclass
 class BSGDRoundInfo:
     """Post-update view of one gradient round, passed to audit hooks; a
-    `takes_round_blocks` hook gets transcript-free pad passes as blocks."""
+    `takes_round_blocks` hook gets transcript-free pad passes as blocks.
+    `bits`, when given, holds the batch's joint bits, one row each."""
 
     index: int
     batch: tuple[Example, ...]
     avg: object
     response: object
     w: np.ndarray
+    bits: np.ndarray | None = None
 
 
 @dataclass
@@ -553,7 +564,8 @@ class RoundBlock:
     round `first + j` drew pool rows `rows[j]` (labels: `labels`), whose
     clipped gradients average to `avg[j]` at coordinate `coords[j]`
     (distinct in a block), which `response[j]` moved from `before[j]` to
-    `after[j]`; `w` is the vector after the last round."""
+    `after[j]`; `w` is the vector after the last round.  `pool_bits`,
+    when given, holds the pool's joint bits, one row each."""
 
     first: int
     pool: Sequence[Example]
@@ -565,6 +577,11 @@ class RoundBlock:
     before: np.ndarray
     after: np.ndarray
     w: np.ndarray
+    pool_bits: np.ndarray | None = None
+
+
+class _IntBits(tuple):
+    """A bit pool already held as Python ints, so a run takes it as is."""
 
 
 def _draw_init_bits(seed: int, r: int) -> tuple[int, ...]:
@@ -632,9 +649,9 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
 
 
 def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
-              labels: np.ndarray, rows: np.ndarray, w: np.ndarray,
-              rho: float, gamma: float, rounding: RoundingOracle
-              ) -> tuple[RoundBlock, np.ndarray]:
+              pool_bits: np.ndarray, labels: np.ndarray, rows: np.ndarray,
+              w: np.ndarray, rho: float, gamma: float,
+              rounding: RoundingOracle) -> tuple[RoundBlock, np.ndarray]:
     """Every round of a pad tail at once, as the per-example loop does it.
 
     Each round's clipped gradients are summed in batch order, averaged
@@ -658,7 +675,7 @@ def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
     return RoundBlock(first=first, pool=pool, labels=labels, rows=rows[:n],
                       coords=tail.coords[:n], avg=avg[:n],
                       response=response[:n], before=before[:n],
-                      after=after[:n], w=w), grads[:n]
+                      after=after[:n], w=w, pool_bits=pool_bits), grads[:n]
 
 
 def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
@@ -669,9 +686,10 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
     """Shared loop of run_bsgd and run_fbgd.
 
     `draw(k)` returns the next k batches as a (k, b) array of indices
-    into `pool`, whose joint bits are the rows of `pool_bits`.  Rounds
-    the model can state in closed form (its `pad_tail`) take one pass;
-    every other round is one block step.
+    into `pool`, whose joint bits are the rows of `pool_bits`; the
+    other rounds of "fbgd" take the pool as it is.  Rounds the model can
+    state in closed form (its `pad_tail`) take one pass; every other
+    round is one block step.
     Without a transcript a pad pass steps in one assignment and goes as
     one RoundBlock to a hook whose `__self__` sets `takes_round_blocks`
     (TrajectoryAuditor.hook); other hooks get a BSGDRoundInfo per round.
@@ -701,7 +719,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
         rows, ahead = ahead[:k], ahead[k:]
         return rows
 
-    def finish_round(t, items, avg, response, item_grads):
+    def finish_round(t, items, bits, avg, response, item_grads):
         transcript.samples_consumed += len(items) if kind == "bsgd" else 0
         if record:
             rec = RoundRecord(
@@ -716,7 +734,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
             transcript.append(rec)
         if hook is not None:
             hook(BSGDRoundInfo(index=t, batch=items, avg=avg,
-                               response=response, w=w))
+                               response=response, w=w, bits=bits))
 
     t = 1
     while t <= T:
@@ -725,8 +743,8 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
             if labels is None:
                 labels = np.array([ex.y for ex in pool])
             rows = take(min(len(tail.coords), T - t + 1))
-            block, grads = _pad_pass(tail, t, pool, labels, rows, w, rho,
-                                     gamma, rounding)
+            block, grads = _pad_pass(tail, t, pool, pool_bits, labels, rows,
+                                     w, rho, gamma, rounding)
             n = len(block.coords)
             ahead = np.concatenate([rows[n:], ahead])
             if blocks:
@@ -744,16 +762,19 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
                     block.rows.tolist(), per_item):
                 if v != 0.0:
                     w[c] = x
-                finish_round(t, tuple([pool[i] for i in row]), {c: a},
-                             {c: v},
+                finish_round(t, tuple([pool[i] for i in row]), pool_bits[row],
+                             {c: a}, {c: v},
                              None if g is None else [{c: gi} for gi in g])
                 t += 1
             continue
-        row = take(1)[0]
-        items = tuple([pool[i] for i in row])
-        grads, avg, response = _gradient_step(model, w, items, pool_bits[row],
-                                              rho, gamma, rounding)
-        finish_round(t, items, avg, response,
+        if kind == "fbgd":  # the frozen batch is the pool, every round
+            items, rows_bits = pool, pool_bits
+        else:
+            row = take(1)[0]
+            items, rows_bits = tuple([pool[i] for i in row]), pool_bits[row]
+        grads, avg, response = _gradient_step(model, w, items, rows_bits, rho,
+                                              gamma, rounding)
+        finish_round(t, items, rows_bits, avg, response,
                      grads() if record and record_items else None)
         t += 1
     transcript.random_bits_consumed = model.random_bits

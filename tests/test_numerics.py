@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -155,6 +157,84 @@ def test_near_band_is_forced(q, d, frac, strat):
         return
     g = round_approximate(np.array([v]), rho, oracle(strat, seed=1))
     assert g[0] == pytest.approx(q * rho, abs=0.0)
+
+
+def _reference_round(v, rho, strat, seed):
+    """round_approximate as first written: both candidates and both
+    validity masks for every strategy, and one hashed bit per free entry
+    in flattened order."""
+    grid_exponent(rho)
+    arr = np.asarray(v, dtype=float)
+    if arr.size and np.abs(arr).max() > 1.0 + 1e-9:
+        raise ValueError("round_approximate expects entries in [-1, 1]")
+    if strat is RoundingStrategy.NEAREST:
+        scaled = arr / rho
+        return np.floor(np.abs(scaled) + 0.5) * np.sign(scaled) * rho
+    scaled = arr / rho
+    lo = np.floor(scaled)
+    hi = lo + 1.0
+    lo_ok, hi_ok = scaled - lo <= 0.75, hi - scaled <= 0.75
+    if strat is RoundingStrategy.ADVERSARIAL_UP:
+        return np.where(hi_ok, hi, lo) * rho
+    if strat is RoundingStrategy.ADVERSARIAL_DOWN:
+        return np.where(lo_ok, lo, hi) * rho
+    take_hi = np.zeros(scaled.shape, dtype=bool).reshape(-1)
+    prefix = (b"round-approximate" + seed.to_bytes(16, "little", signed=True)
+              + grid_exponent(rho).to_bytes(2, "little"))
+    for k, (val, free) in enumerate(zip(scaled.reshape(-1),
+                                        (lo_ok & hi_ok).reshape(-1))):
+        if free:
+            digest = hashlib.sha256(prefix + struct.pack("<d", val)).digest()
+            take_hi[k] = digest[0] & 1
+    take_hi = take_hi.reshape(scaled.shape)
+    return np.where(hi_ok & (take_hi | ~lo_ok), hi, lo) * rho
+
+
+def _reference_valid(g, v, rho):
+    scaled = g / rho
+    on_grid = (np.abs(scaled - np.rint(scaled)) < 1e-9).all()
+    within = (np.abs(g - np.asarray(v)) <= 0.75 * rho + 1e-12 * rho).all()
+    return bool(on_grid and within)
+
+
+def _bytes_or_error(call):
+    try:
+        out = np.asarray(call())
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return out.tobytes(), out.dtype.str, out.shape
+
+
+EDGES = [0.0, -0.0, 0.25, 0.5, 0.75, -0.25, -0.5, -0.75, 1.0, -1.0,
+         1.0 + 5e-10, 1.0 + 2e-9, math.nan, 5e-324]
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 13), st.sampled_from(ALL_STRATEGIES),
+       st.integers(-3, 5), st.sampled_from([(), (1,), (4,), (2, 3)]),
+       st.data())
+def test_rounding_matches_reference_bitwise(d, strat, seed, shape, data):
+    # band edges, signed zeros, NaN (which passes the range check) and
+    # out-of-range entries, on 0-d, 1-d and 2-d inputs
+    rho = 2.0 ** -d
+    q = data.draw(st.lists(st.integers(-(2 ** d), 2 ** d),
+                           min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    off = data.draw(st.lists(st.sampled_from(EDGES) | st.floats(-1, 1),
+                             min_size=len(q), max_size=len(q)))
+    v = np.array([qi * rho + oi * (rho if abs(oi) < 1 else 1.0)
+                  for qi, oi in zip(q, off)]).reshape(shape)
+    got = _bytes_or_error(lambda: round_approximate(v, rho,
+                                                    oracle(strat, seed)))
+    assert got == _bytes_or_error(lambda: _reference_round(v, rho, strat,
+                                                           seed))
+    if len(got) == 3:
+        g = round_approximate(v, rho, oracle(strat, seed))
+        for other in (v, v + rho / 2, np.zeros(7)):
+            with np.errstate(invalid="ignore"):
+                assert _bytes_or_error(
+                    lambda: valid_rounding(g, other, rho)) == _bytes_or_error(
+                    lambda: _reference_valid(g, other, rho))
 
 
 def test_valid_rounding_rejects():
