@@ -753,9 +753,7 @@ class TrajectoryAuditor:
         log.kappas.append(np.array([w[top]]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
-        audit.clip_activations += (
-            [ex.y for ex in info.batch].count(i % 2) if info.bits is None
-            else int(np.count_nonzero(info.bits[:, 0] == i % 2)))
+        audit.clip_activations += [ex.y for ex in info.batch].count(i % 2)
         if query is not None:
             theta = w[top - lay.p:top]
             cur.feed(i, round_nearest_multiple(theta, self.rho)

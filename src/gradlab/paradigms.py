@@ -548,7 +548,8 @@ class ModelSnapshot:
 class BSGDRoundInfo:
     """Post-update view of one gradient round, passed to audit hooks; a
     `takes_round_blocks` hook gets transcript-free pad passes as blocks.
-    `bits`, when given, holds the batch's joint bits, one row each."""
+    `bits`, when given, holds the batch's joint bits, one row each; a
+    hook reads it and never writes it."""
 
     index: int
     batch: tuple[Example, ...]
@@ -565,7 +566,8 @@ class RoundBlock:
     clipped gradients average to `avg[j]` at coordinate `coords[j]`
     (distinct in a block), which `response[j]` moved from `before[j]` to
     `after[j]`; `w` is the vector after the last round.  `pool_bits`,
-    when given, holds the pool's joint bits, one row each."""
+    when given, is the runner's matrix of the pool's joint bits, one row
+    each; a hook reads it and never writes it."""
 
     first: int
     pool: Sequence[Example]
@@ -686,10 +688,9 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
     """Shared loop of run_bsgd and run_fbgd.
 
     `draw(k)` returns the next k batches as a (k, b) array of indices
-    into `pool`, whose joint bits are the rows of `pool_bits`; the
-    other rounds of "fbgd" take the pool as it is.  Rounds the model can
-    state in closed form (its `pad_tail`) take one pass; every other
-    round is one block step.
+    into `pool`, whose joint bits are the rows of `pool_bits`.  Rounds
+    the model can state in closed form (its `pad_tail`) take one pass;
+    every other round is one block step.
     Without a transcript a pad pass steps in one assignment and goes as
     one RoundBlock to a hook whose `__self__` sets `takes_round_blocks`
     (TrajectoryAuditor.hook); other hooks get a BSGDRoundInfo per round.
@@ -767,11 +768,8 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
                              None if g is None else [{c: gi} for gi in g])
                 t += 1
             continue
-        if kind == "fbgd":  # the frozen batch is the pool, every round
-            items, rows_bits = pool, pool_bits
-        else:
-            row = take(1)[0]
-            items, rows_bits = tuple([pool[i] for i in row]), pool_bits[row]
+        row = take(1)[0]
+        items, rows_bits = tuple([pool[i] for i in row]), pool_bits[row]
         grads, avg, response = _gradient_step(model, w, items, rows_bits, rho,
                                               gamma, rounding)
         finish_round(t, items, rows_bits, avg, response,
