@@ -587,6 +587,12 @@ class TrajectoryAudit:
     clip_activations: int = 0
     violations: list[str] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # rounds from a replay error to the end of its trial, which get
+        # every check but the response gap and the snap drift; kept out
+        # of the fields, so asdict and == read as they did before it
+        self.unreplayed_rounds = 0
+
     @property
     def tight_snap_bound(self) -> float:
         """Enforced drift allowance: an eighth of the response grid."""
@@ -614,11 +620,13 @@ class _RoundLog:
     clocks; those are kept with the value they left behind.  Active
     rounds also keep their query's batch average (pad rounds: zero).
     Clock values come in arrays, of one round or a run of pad rounds.
+    The last `unreplayed` rounds logged come after a replay error.
     """
 
     def __init__(self, base: np.ndarray):
         self.base = base
         self.first = 1
+        self.unreplayed = 0
         self.kappas: list[np.ndarray] = []
         self.avgs: list[tuple[int, np.ndarray]] = []
         self.writes: list[tuple[int, list[tuple[int, float | None]]]] = []
@@ -643,7 +651,9 @@ class TrajectoryAuditor:
     query (zero for the pad rounds after the program has finished); the
     active clock must have fired to at least rho; recorded responses
     must lie on the response grid.  The final round triggers a full
-    parameter sweep against the recorded blocks.
+    parameter sweep against the recorded blocks.  A replay error is
+    reported once; the rounds from it on are counted as unreplayed and
+    get every check but the gap and the drift, which need the program.
 
     The hook records every round (clock, heavy-label count, any write
     away from the clock, the batch average of an active round's query)
@@ -666,6 +676,7 @@ class TrajectoryAuditor:
         self._log: _RoundLog | None = None
         self._blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._bits: np.ndarray | None = None
+        self._replay_failed = False
 
     @property
     def audit(self) -> TrajectoryAudit:
@@ -727,6 +738,7 @@ class TrajectoryAuditor:
                 self.prog, _rounded_bits(self._bits))
             self._log = _RoundLog(w.copy())
             self._blocks = []
+            self._replay_failed = False
             audit.trials += 1
         audit.rounds += 1
         log = self._log
@@ -737,13 +749,16 @@ class TrajectoryAuditor:
             log.note_writes(i, response, top, w)
         cur = self._cursor
         query = None
-        if cur.finished_at is None:
+        if not self._replay_failed and cur.finished_at is None:
             try:
                 query = cur.query(i)
             except TrajectoryError as err:
                 log.found.append((i, 1, str(err)))
-                return
-        if query is None:
+                self._replay_failed = True
+        if self._replay_failed:
+            audit.unreplayed_rounds += 1
+            log.unreplayed += 1
+        elif query is None:
             audit.pad_rounds += 1
         else:
             audit.active_rounds += 1
@@ -791,6 +806,7 @@ class TrajectoryAuditor:
         gap = np.zeros(k)
         drift = np.zeros(k)
         touched = theta.any(axis=1)
+        touched[k - log.unreplayed:] = False  # no program, no gap or drift
         avg = np.zeros((k, p))
         active = np.zeros(k, dtype=bool)
         for row, a in log.avgs:
@@ -829,6 +845,7 @@ class TrajectoryAuditor:
         audit.violations.extend(f[2] for f in found)
         self._blocks.append((first, theta, kappa))
         log.first += k
+        log.unreplayed = 0
         log.kappas = []
         log.avgs = []
         log.writes = []

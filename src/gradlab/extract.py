@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import ToleranceError, recover_batch_average
+from .numerics import ToleranceError, recover_batch_counts
 from .paradigms import (
     BitStream,
     LabelRestriction,
@@ -120,28 +120,40 @@ class _CountError(RuntimeError):
     """Recovered counts are not consistent with any hidden batch."""
 
 
+def _memo(queries: dict, key, build: Callable[[], SQQuery]) -> SQQuery:
+    query = queries.get(key)
+    if query is None:
+        query = queries[key] = build()
+    return query
+
+
 class _Attempt:
     """One descent attempt: the current prefix plus the branch rules.
 
     `taken` holds the frozen-batch examples already extracted; their
     joint bits are kept when the walk starts, and `step` subtracts the
     ones that extend the prefix from every recovered answer.  A walk on
-    fresh batches takes none.
+    fresh batches takes none.  `queries` holds the walk's prefix
+    queries by (prefix, pad_to, restriction); attempts of one walk
+    share it, since the walk restarts at the root.
     """
 
     def __init__(self, n: int, batch_size: int, tau: float,
-                 taken: Sequence[Example] = ()):
+                 taken: Sequence[Example] = (),
+                 queries: dict | None = None):
         self.n = int(n)
         self.batch_size = int(batch_size)
         self.tau = tau
         self.taken = [tuple(map(int, ex.joint_bits())) for ex in taken]
         self.root_count = self.batch_size - len(self.taken)
         self.prefix: tuple[int, ...] = ()
+        self.queries = {} if queries is None else queries
 
     def query(self, *, pad_to: int | None = None,
               restriction: LabelRestriction = LabelRestriction.NONE) -> SQQuery:
-        return prefix_query(self.prefix, self.n, pad_to=pad_to,
-                            restriction=restriction)
+        return _memo(self.queries, (self.prefix, pad_to, restriction),
+                     lambda: prefix_query(self.prefix, self.n, pad_to=pad_to,
+                                          restriction=restriction))
 
     def step(self, response: Sequence[float], bits) -> Example | None:
         """One round of the walk; an Example ends it.
@@ -155,8 +167,7 @@ class _Attempt:
         head = 1 if ell else 0
         width = head + self.n + 1 - ell
         trimmed = np.asarray(response, dtype=float)[:width]
-        counts = [av.numerator for av in
-                  recover_batch_average(trimmed, self.batch_size, self.tau)]
+        counts = recover_batch_counts(trimmed, self.batch_size, self.tau)
         for z in self.taken:
             if z[:ell] == self.prefix:
                 if head:
@@ -188,6 +199,7 @@ def _check_tolerance(batch_size: int, tau: float) -> None:
 
 def sample_extract(oracle, n: int, b: int, tau: float, seed: int = 0, *,
                    rng_bits=None, round_budget: int | None = None,
+                   _queries: dict | None = None,
                    ) -> tuple[Example, int] | Failure:
     """Pull one example, distributed as the source, out of batch queries.
 
@@ -199,7 +211,7 @@ def sample_extract(oracle, n: int, b: int, tau: float, seed: int = 0, *,
     """
     _check_tolerance(b, tau)
     bits = BitStream(seed) if rng_bits is None else rng_bits
-    attempt = _Attempt(n, b, tau)
+    attempt = _Attempt(n, b, tau, queries=_queries)
     rounds = 0
     while round_budget is None or rounds < round_budget:
         response = oracle.ask(attempt.query())
@@ -218,12 +230,14 @@ def extract_m_samples(oracle, m: int, round_budget: int, seed: int = 0,
     `oracle.tau`), and every extraction draws from one bit stream
     seeded by `seed`.  A Failure result tells the caller to fall back
     to the trivial zero predictor; it carries how far the run got.
+    The extractions share their prefix queries.
     """
     n, b, tau = int(oracle.D.n), int(oracle.b), float(oracle.tau)
     _check_tolerance(b, tau)
     if m <= 0:
         raise ValueError("need m >= 1")
     bits = BitStream(seed)
+    queries: dict = {}
     out: list[Example] = []
     rounds = 0
     while len(out) < m:
@@ -231,7 +245,7 @@ def extract_m_samples(oracle, m: int, round_budget: int, seed: int = 0,
         if left <= 0:
             return Failure(extracted=len(out), rounds_used=rounds)
         got = sample_extract(oracle, n, b, tau, rng_bits=bits,
-                             round_budget=left)
+                             round_budget=left, _queries=queries)
         if isinstance(got, Failure):
             return Failure(extracted=len(out),
                            rounds_used=rounds + got.rounds_used)
@@ -298,7 +312,12 @@ class _BitCursor:
         self.overflow_consumed += 1
         return self._overflow.bit()
 
-    take = BitStream.take
+    def take(self, k: int) -> int:
+        """k bits assembled MSB first, one `bit` call each."""
+        out = 0
+        for _ in range(k):
+            out = (out << 1) | self.bit()
+        return out
 
 
 @dataclass(eq=False)
@@ -363,6 +382,7 @@ class _ExtractionRun:
         self.round = 0
         self.attempt: _Attempt | None = None
         self.pending: str | None = None
+        self.queries: dict = {}  # walks' prefixes, "label", pads by restriction
 
     @property
     def bits_consumed(self) -> int:
@@ -375,7 +395,8 @@ class _ExtractionRun:
         self.round += 1
         if self.attempt is None:
             taken = self.examples if prog.fixed_batch else ()
-            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken)
+            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken,
+                                    self.queries)
         if not prog.alternating:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity)
@@ -385,12 +406,14 @@ class _ExtractionRun:
         prefix = self.attempt.prefix
         if not prefix and want is LabelRestriction.ONE_QUERY:
             self.pending = "label"
-            return _label_query(prog.arity)
+            return _memo(self.queries, "label",
+                         lambda: _label_query(prog.arity))
         if prefix and prefix[0] == want.forced_label:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity, restriction=want)
         self.pending = "pad"
-        return constant_zero_query(prog.arity, want)
+        return _memo(self.queries, want,
+                     lambda: constant_zero_query(prog.arity, want))
 
     def receive(self, response: Sequence[float]) -> None:
         prog = self.prog
@@ -399,8 +422,8 @@ class _ExtractionRun:
             return
         if kind == "label":
             trimmed = np.asarray(response, dtype=float)[:1]
-            (avg,) = recover_batch_average(trimmed, prog.b, prog.tau)
-            ones = avg.numerator - sum(z[0] for z in self.attempt.taken)
+            (count,) = recover_batch_counts(trimmed, prog.b, prog.tau)
+            ones = count - sum(z[0] for z in self.attempt.taken)
             if not 0 <= ones <= self.attempt.root_count:
                 raise _CountError(f"label count {ones} impossible")
             bit = descent_bit(ones, self.attempt.root_count, prog.b,

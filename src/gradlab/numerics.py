@@ -33,6 +33,7 @@ __all__ = [
     "round_approximate",
     "valid_rounding",
     "recover_batch_average",
+    "recover_batch_counts",
 ]
 
 
@@ -143,6 +144,11 @@ def _nearest(arr: np.ndarray, step: float) -> np.ndarray:
     return q * step
 
 
+def _seed_prefix(seed: int, d: int) -> bytes:
+    return (b"round-approximate" + seed.to_bytes(16, "little", signed=True)
+            + d.to_bytes(2, "little"))
+
+
 def _seeded_choice_bits(scaled: np.ndarray, free: np.ndarray, d: int,
                         seed: int) -> np.ndarray:
     """One fair bit per free-band entry, hashed from (entry, step, seed).
@@ -155,13 +161,26 @@ def _seeded_choice_bits(scaled: np.ndarray, free: np.ndarray, d: int,
     """
     take_hi = np.zeros(scaled.shape, dtype=bool)
     if np.count_nonzero(free):
-        prefix = (b"round-approximate"
-                  + seed.to_bytes(16, "little", signed=True)
-                  + d.to_bytes(2, "little"))
+        prefix = _seed_prefix(seed, d)
         take_hi[free] = [
             hashlib.sha256(prefix + struct.pack("<d", val)).digest()[0] & 1
             for val in scaled[free].tolist()]
     return take_hi
+
+
+# Inputs of up to this many entries take a loop over Python floats,
+# which computes the numpy path's floats at a fraction of its per-call
+# cost; longer, multi-dimensional or non-finite inputs take numpy.
+_SMALL = 8
+
+
+def _small(arr: np.ndarray) -> list[float] | None:
+    """The entries of a short, finite, nonempty 1-d array, or None."""
+    if arr.ndim != 1 or not 0 < len(arr) <= _SMALL:
+        return None
+    vals = arr.tolist()
+    total = sum(vals)
+    return vals if total - total == 0.0 else None  # else NaN or infinite
 
 
 def round_approximate(v, rho: float, oracle: RoundingOracle | None = None) -> np.ndarray:
@@ -174,9 +193,14 @@ def round_approximate(v, rho: float, oracle: RoundingOracle | None = None) -> np
     """
     d = grid_exponent(rho)
     arr = np.asarray(v, dtype=float)
+    strategy = RoundingStrategy.NEAREST if oracle is None else oracle.strategy
+    vals = _small(arr)
+    if vals is not None:
+        if max(map(abs, vals)) > 1.0 + 1e-9:
+            raise ValueError("round_approximate expects entries in [-1, 1]")
+        return np.array(_round_small(vals, rho, strategy, d, oracle))
     if arr.size and abs(arr).max() > 1.0 + 1e-9:  # a NaN passes
         raise ValueError("round_approximate expects entries in [-1, 1]")
-    strategy = RoundingStrategy.NEAREST if oracle is None else oracle.strategy
     if strategy is RoundingStrategy.NEAREST:
         return _nearest(arr, rho)
     # a quotient q is valid when |q - scaled| <= 3/4: at most two grid
@@ -198,11 +222,49 @@ def round_approximate(v, rho: float, oracle: RoundingOracle | None = None) -> np
     return q * rho
 
 
+def _round_small(vals: list[float], rho: float, strategy: RoundingStrategy,
+                 d: int, oracle: RoundingOracle | None) -> list[float]:
+    """The numpy path's outputs on finite Python floats, entry by entry.
+
+    `math.floor` is exact on floats; floor(-0.0) keeps its sign, as
+    np.floor does, and np.sign(+-0.0) is +0.0.
+    """
+    scaled = [x / rho for x in vals]
+    if strategy is RoundingStrategy.NEAREST:
+        return [math.floor(abs(s) + 0.5)
+                * (1.0 if s > 0 else -1.0 if s < 0 else 0.0) * rho
+                for s in scaled]
+    lows = [float(math.floor(s)) if s else s for s in scaled]
+    if strategy is RoundingStrategy.ADVERSARIAL_UP:
+        return [(lo + 1.0 if lo + 1.0 - s <= 0.75 else lo) * rho
+                for s, lo in zip(scaled, lows)]
+    if strategy is RoundingStrategy.ADVERSARIAL_DOWN:
+        return [(lo if s - lo <= 0.75 else lo + 1.0) * rho
+                for s, lo in zip(scaled, lows)]
+    prefix = _seed_prefix(oracle.seed, d)
+    out = []
+    for s, lo in zip(scaled, lows):
+        hi = lo + 1.0
+        lo_ok, hi_ok = s - lo <= 0.75, hi - s <= 0.75
+        take_hi = lo_ok and hi_ok and hashlib.sha256(
+            prefix + struct.pack("<d", s)).digest()[0] & 1
+        out.append((hi if hi_ok and (take_hi or not lo_ok) else lo) * rho)
+    return out
+
+
 def valid_rounding(g, v, rho: float) -> bool:
     """Check the approximate-rounding contract: on-grid and within 3*rho/4."""
     grid_exponent(rho)
     g_arr = np.asarray(g, dtype=float)
     v_arr = np.asarray(v, dtype=float)
+    gs = _small(g_arr)
+    if gs is not None and v_arr.shape == g_arr.shape:
+        tol = 0.75 * rho + 1e-12 * rho
+        for x, y in zip(gs, v_arr.tolist()):
+            s = x / rho
+            if not (abs(s - round(s)) < 1e-9 and abs(x - y) <= tol):
+                return False
+        return True
     scaled = g_arr / rho
     on_grid = abs(scaled - np.rint(scaled)) < 1e-9
     within = abs(g_arr - v_arr) <= 0.75 * rho + 1e-12 * rho
@@ -210,12 +272,13 @@ def valid_rounding(g, v, rho: float) -> bool:
             and np.count_nonzero(within) == within.size)
 
 
-def recover_batch_average(v, b: int, tau: float) -> EmpiricalAverage | list[EmpiricalAverage]:
-    """Recover the exact batch average from a tau-noisy response.
+def recover_batch_counts(v, b: int, tau: float) -> int | list[int]:
+    """Recover the exact batch counts behind a tau-noisy response.
 
     Valid responses sit within tau of a multiple of 1/b, so when
     tau < 1/(2b) the nearest multiple is unique and rounding recovers the
-    integer count exactly.  Raises ToleranceError otherwise.
+    integer count exactly.  Raises ToleranceError otherwise, and
+    ValueError for a count past +-b (a NaN entry rounds to one).
     """
     if b <= 0:
         raise ValueError("batch size must be positive")
@@ -224,7 +287,16 @@ def recover_batch_average(v, b: int, tau: float) -> EmpiricalAverage | list[Empi
             f"recovery needs tau < 1/(2b); got tau={tau} with b={b}"
         )
     arr = np.asarray(v, dtype=float)
-    counts = np.rint(arr * b).astype(int)
-    if arr.ndim == 0:
-        return EmpiricalAverage(int(counts), b)
-    return [EmpiricalAverage(int(k), b) for k in counts]
+    counts = np.rint(arr * b).astype(int).tolist()
+    for k in [counts] if arr.ndim == 0 else counts:
+        if abs(k) > b:
+            raise ValueError(f"average {k}/{b} outside [-1, 1]")
+    return counts
+
+
+def recover_batch_average(v, b: int, tau: float) -> EmpiricalAverage | list[EmpiricalAverage]:
+    """The counts of `recover_batch_counts`, each held as count / b."""
+    counts = recover_batch_counts(v, b, tau)
+    if type(counts) is int:
+        return EmpiricalAverage(counts, b)
+    return [EmpiricalAverage(k, b) for k in counts]

@@ -413,7 +413,9 @@ class BSQOracle(_QueryOracle):
         self.samples_consumed += self.b
         self.transcript.samples_consumed = self.samples_consumed
         rows = vals[idx]
-        return rows, rows.mean(axis=0), self.D.joint_codes[idx]
+        # the sum and division ndarray.mean runs, without its wrapper
+        return (rows, np.add.reduce(rows, axis=0) / self.b,
+                self.D.joint_codes[idx] if self.record else None)
 
 
 class FBSQOracle(_QueryOracle):
@@ -902,7 +904,10 @@ class _GeneratorRun:
 
 
 class BitStream:
-    """Counting source of fair coin flips, deterministic in its seed."""
+    """Counting source of fair coin flips, deterministic in its seed.
+
+    Each 62-bit draw serves its bits from the least significant up; the
+    buffer holds them reversed, next bit highest among `_available`."""
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB175]))
@@ -910,21 +915,30 @@ class BitStream:
         self._buffer = 0
         self._available = 0
 
+    def _refill(self) -> None:
+        drawn = int(self._rng.integers(0, 1 << 62, dtype=np.int64))
+        self._buffer = int(f"{drawn:062b}"[::-1], 2)
+        self._available = 62
+
     def bit(self) -> int:
         if self._available == 0:
-            self._buffer = int(self._rng.integers(0, 1 << 62, dtype=np.int64))
-            self._available = 62
-        out = self._buffer & 1
-        self._buffer >>= 1
+            self._refill()
         self._available -= 1
         self.consumed += 1
-        return out
+        return (self._buffer >> self._available) & 1
 
     def take(self, k: int) -> int:
-        """k fresh bits assembled MSB first."""
+        """k fresh bits assembled MSB first: k calls of `bit` in one."""
         out = 0
-        for _ in range(k):
-            out = (out << 1) | self.bit()
+        while k > 0:
+            if self._available == 0:
+                self._refill()
+            n = min(k, self._available)
+            self._available -= n
+            self.consumed += n
+            out = (out << n) | ((self._buffer >> self._available)
+                                & ((1 << n) - 1))
+            k -= n
         return out
 
 

@@ -211,19 +211,25 @@ EDGES = [0.0, -0.0, 0.25, 0.5, 0.75, -0.25, -0.5, -0.75, 1.0, -1.0,
 
 @settings(max_examples=400)
 @given(st.integers(0, 13), st.sampled_from(ALL_STRATEGIES),
-       st.integers(-3, 5), st.sampled_from([(), (1,), (4,), (2, 3)]),
+       st.integers(-3, 5),
+       st.sampled_from([(), (1,), (4,), (8,), (9,), (2, 3), (40,)]),
        st.data())
 def test_rounding_matches_reference_bitwise(d, strat, seed, shape, data):
     # band edges, signed zeros, NaN (which passes the range check) and
-    # out-of-range entries, on 0-d, 1-d and 2-d inputs
+    # out-of-range entries, on 0-d, 1-d and 2-d inputs; 1-d inputs of up
+    # to eight entries take the Python-float path, the others numpy
     rho = 2.0 ** -d
     q = data.draw(st.lists(st.integers(-(2 ** d), 2 ** d),
                            min_size=math.prod(shape),
                            max_size=math.prod(shape)))
     off = data.draw(st.lists(st.sampled_from(EDGES) | st.floats(-1, 1),
                              min_size=len(q), max_size=len(q)))
+    # an edge drawn as it is keeps its sign: q * rho + -0.0 is +0.0
+    raw = data.draw(st.lists(st.none() | st.sampled_from(EDGES),
+                             min_size=len(q), max_size=len(q)))
     v = np.array([qi * rho + oi * (rho if abs(oi) < 1 else 1.0)
-                  for qi, oi in zip(q, off)]).reshape(shape)
+                  if ri is None else ri
+                  for qi, oi, ri in zip(q, off, raw)]).reshape(shape)
     got = _bytes_or_error(lambda: round_approximate(v, rho,
                                                     oracle(strat, seed)))
     assert got == _bytes_or_error(lambda: _reference_round(v, rho, strat,
@@ -235,6 +241,19 @@ def test_rounding_matches_reference_bitwise(d, strat, seed, shape, data):
                 assert _bytes_or_error(
                     lambda: valid_rounding(g, other, rho)) == _bytes_or_error(
                     lambda: _reference_valid(g, other, rho))
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 12, 40])
+def test_valid_rounding_at_its_tolerance_edge(d):
+    # |g - v| equal to the tolerance passes, one ulp past it fails, on
+    # both sides of the Python-float cutoff
+    rho = 2.0 ** -d
+    tol = 0.75 * rho + 1e-12 * rho
+    for size in (1, 3, 8, 9, 20):
+        for v in (tol, -tol, np.nextafter(tol, 1.0)):
+            g, vs = np.zeros(size), np.full(size, v)
+            assert valid_rounding(g, vs, rho) == _reference_valid(g, vs, rho)
+            assert valid_rounding(g, vs, rho) == (abs(v) <= tol)
 
 
 def test_valid_rounding_rejects():

@@ -167,7 +167,10 @@ def _reference_fbgd(model, S, T, rho, gamma, rounding, seed, **kw):
 
 
 class _PerRoundAuditor:
-    """Every round checked as it arrives, with numpy on each one."""
+    """Every round checked as it arrives, with numpy on each one.
+
+    After a replay error a round has no query: it is counted unreplayed
+    and gets the write, clock and final-sweep checks, no gap or drift."""
 
     def __init__(self, prog, rho):
         self.prog = prog
@@ -191,6 +194,7 @@ class _PerRoundAuditor:
                 self.prog, tuple(int(round(v)) for v in self._bits))
             self._blocks = {}
             self._finished = False
+            self._failed = False
             self.audit.trials += 1
         self.audit.rounds += 1
         base = lay.start(i)
@@ -205,16 +209,18 @@ class _PerRoundAuditor:
         theta = w[base:top]
         kappa = float(w[top])
         query = None
-        if not self._finished:
+        if not self._failed and not self._finished:
             try:
                 query = self._cursor.query(i)
             except TrajectoryError as err:
                 self._flag(str(err))
-                return
-            if query is None:
-                self._finished = True
+                self._failed = True
+            else:
+                self._finished = query is None
         touched = bool(theta.any())
-        if query is None:
+        if self._failed:
+            self.audit.unreplayed_rounds += 1
+        elif query is None:
             self.audit.pad_rounds += 1
             gap = float(np.max(np.abs(theta))) if touched else 0.0
         else:
@@ -222,22 +228,26 @@ class _PerRoundAuditor:
             vals = [query.evaluate(ex) for ex in info.batch]
             avg = np.mean(vals, axis=0) if vals else np.zeros(lay.p)
             gap = float(np.max(np.abs(theta - avg))) if lay.p else 0.0
-        self.audit.max_response_gap = max(self.audit.max_response_gap, gap)
-        if gap > 3.0 * self.rho + 1e-12:
-            self._flag(f"round {i} response sits {gap:.3g} from the batch "
-                       f"average, above 3*rho = {3 * self.rho}")
+        if not self._failed:
+            self.audit.max_response_gap = max(self.audit.max_response_gap,
+                                              gap)
+            if gap > 3.0 * self.rho + 1e-12:
+                self._flag(f"round {i} response sits {gap:.3g} from the "
+                           f"batch average, above 3*rho = {3 * self.rho}")
         if kappa < self.audit.min_clock_after_fire:
             self.audit.min_clock_after_fire = kappa
         if kappa < self.rho:
             self._flag(f"round {i} clock reached only {kappa}, below rho")
+        snapped = None
         if touched:
-            snapped = round_nearest_multiple(theta, self.rho)
-            drift = float(np.max(np.abs(theta - snapped))) if lay.p else 0.0
-            if drift > self.audit.max_snap_distance:
-                self.audit.max_snap_distance = drift
+            if not self._failed:
+                snapped = round_nearest_multiple(theta, self.rho)
+                drift = (float(np.max(np.abs(theta - snapped))) if lay.p
+                         else 0.0)
+                if drift > self.audit.max_snap_distance:
+                    self.audit.max_snap_distance = drift
             self._blocks[i] = (theta.copy(), kappa)
         else:
-            snapped = None
             self._blocks[i] = (None, kappa)
         heavy_label = 0 if i % 2 == 0 else 1
         self.audit.clip_activations += sum(
@@ -707,8 +717,30 @@ def test_replay_errors_match_per_round_audit(bad):
     audit = fast.audit
     assert audit.rounds == method.T
     assert audit.active_rounds == bad - 1 and audit.pad_rounds == 0
+    assert audit.unreplayed_rounds == slow.audit.unreplayed_rounds
+    assert audit.unreplayed_rounds == method.T - bad + 1
     assert "alternating discipline" in audit.violations[0]
-    assert len(audit.violations) == method.T - bad + 1
+    assert len(audit.violations) == 1
+
+
+@pytest.mark.parametrize("kind", ["outside", "clock", "frozen"])
+def test_faults_after_a_replay_error_are_reported(kind):
+    # the rounds after the error get the checks that need no program
+    method, program, out = _clean_run(3)
+    lay = _Layout(r=program.random_bits, p=program.arity, T=program.rounds)
+    audited = _WrongRestriction(program, 2)
+    j = method.T - 10
+    faults = {j: _fault(kind, j, lay, method.rho, 3.3)}
+    fast = TrajectoryAuditor(audited, method.rho)
+    slow = _PerRoundAuditor(audited, method.rho)
+    got, want = _replay([fast, slow], method, out, faults)
+    assert got == want
+    audit = fast.audit
+    assert audit.unreplayed_rounds == slow.audit.unreplayed_rounds
+    assert audit.unreplayed_rounds == method.T - 1
+    assert any(FAULT_WORDS[kind] in v for v in audit.violations)
+    if kind == "frozen":
+        assert any(v.startswith("parameter ") for v in audit.violations)
 
 
 @settings(max_examples=25, deadline=None)
@@ -742,6 +774,7 @@ def test_whole_run_fault_mixes_match_per_round_audit(seed, picks, peek, bad):
     got, want = _replay([fast, slow], method, out, faults,
                         peek={at(u) for u in peek})
     assert got == want
+    assert fast.audit.unreplayed_rounds == slow.audit.unreplayed_rounds
 
 
 def test_active_round_fault_raises_like_per_round_audit():
