@@ -18,7 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import ToleranceError, recover_batch_counts
+# the walk reads counts through recover_batch_counts; recover_batch_average
+# stays a name of this module, where span tracers patch it
+from .numerics import (ToleranceError, recover_batch_average,  # noqa: F401
+                       recover_batch_counts)
 from .paradigms import (
     BitStream,
     LabelRestriction,

@@ -71,6 +71,12 @@ def test_counts_raise_like_recovery():
         assert isinstance(want, tuple) and got == want
 
 
+def test_recovery_stays_a_name_of_extract():
+    # span tracers patch extract.recover_batch_average; the walk no
+    # longer calls it, so a traced walk counts zero recoveries
+    assert extract.recover_batch_average is recover_batch_average
+
+
 # ---------------------------------------------------------------------------
 # buffered bits
 
