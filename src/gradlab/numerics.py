@@ -261,8 +261,9 @@ def valid_rounding(g, v, rho: float) -> bool:
     if gs is not None and v_arr.shape == g_arr.shape:
         tol = 0.75 * rho + 1e-12 * rho
         for x, y in zip(gs, v_arr.tolist()):
-            s = x / rho
-            if not (abs(s - round(s)) < 1e-9 and abs(x - y) <= tol):
+            s = x / rho  # infinite for a huge x, and then off the grid
+            if not (s - s == 0.0 and abs(s - round(s)) < 1e-9
+                    and abs(x - y) <= tol):
                 return False
         return True
     scaled = g_arr / rho

@@ -254,6 +254,11 @@ def test_valid_rounding_at_its_tolerance_edge(d):
             g, vs = np.zeros(size), np.full(size, v)
             assert valid_rounding(g, vs, rho) == _reference_valid(g, vs, rho)
             assert valid_rounding(g, vs, rho) == (abs(v) <= tol)
+    # a finite entry whose quotient overflows is off the grid, not an error
+    for g in ([1e300], [0.0, -1e300, 0.5]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _reference_valid(np.array(g), np.zeros(len(g)), rho)
+        assert valid_rounding(g, np.zeros(len(g)), rho) == want
 
 
 def test_valid_rounding_rejects():
