@@ -16,7 +16,6 @@ from .numerics import (
     clip1,
     grid_exponent,
     recover_batch_average,
-    recover_batch_counts,
     round_approximate,
     round_nearest_multiple,
     valid_rounding,

@@ -587,11 +587,11 @@ class TrajectoryAudit:
     clip_activations: int = 0
     violations: list[str] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        # rounds from a replay error to the end of its trial, which get
-        # every check but the response gap and the snap drift; kept out
-        # of the fields, so asdict and == read as they did before it
-        self.unreplayed_rounds = 0
+    @property
+    def unreplayed_rounds(self) -> int:
+        """Rounds from a replay error to the end of its trial: every
+        check but the response gap and the snap drift."""
+        return self.rounds - self.active_rounds - self.pad_rounds
 
     @property
     def tight_snap_bound(self) -> float:
@@ -756,7 +756,6 @@ class TrajectoryAuditor:
                 log.found.append((i, 1, str(err)))
                 self._replay_failed = True
         if self._replay_failed:
-            audit.unreplayed_rounds += 1
             log.unreplayed += 1
         elif query is None:
             audit.pad_rounds += 1

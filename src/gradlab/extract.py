@@ -123,22 +123,15 @@ class _CountError(RuntimeError):
     """Recovered counts are not consistent with any hidden batch."""
 
 
-def _memo(queries: dict, key, build: Callable[[], SQQuery]) -> SQQuery:
-    query = queries.get(key)
-    if query is None:
-        query = queries[key] = build()
-    return query
-
-
 class _Attempt:
     """One descent attempt: the current prefix plus the branch rules.
 
     `taken` holds the frozen-batch examples already extracted; their
     joint bits are kept when the walk starts, and `step` subtracts the
     ones that extend the prefix from every recovered answer.  A walk on
-    fresh batches takes none.  `queries` holds the walk's prefix
-    queries by (prefix, pad_to, restriction); attempts of one walk
-    share it, since the walk restarts at the root.
+    fresh batches takes none.  `queries` holds prefix queries by
+    (prefix, pad_to, restriction): the attempt's own, or one dict the
+    attempts of an `extract_m_samples` call share.
     """
 
     def __init__(self, n: int, batch_size: int, tau: float,
@@ -154,9 +147,12 @@ class _Attempt:
 
     def query(self, *, pad_to: int | None = None,
               restriction: LabelRestriction = LabelRestriction.NONE) -> SQQuery:
-        return _memo(self.queries, (self.prefix, pad_to, restriction),
-                     lambda: prefix_query(self.prefix, self.n, pad_to=pad_to,
-                                          restriction=restriction))
+        key = (self.prefix, pad_to, restriction)
+        query = self.queries.get(key)
+        if query is None:
+            query = self.queries[key] = prefix_query(
+                self.prefix, self.n, pad_to=pad_to, restriction=restriction)
+        return query
 
     def step(self, response: Sequence[float], bits) -> Example | None:
         """One round of the walk; an Example ends it.
@@ -385,7 +381,6 @@ class _ExtractionRun:
         self.round = 0
         self.attempt: _Attempt | None = None
         self.pending: str | None = None
-        self.queries: dict = {}  # walks' prefixes, "label", pads by restriction
 
     @property
     def bits_consumed(self) -> int:
@@ -398,8 +393,7 @@ class _ExtractionRun:
         self.round += 1
         if self.attempt is None:
             taken = self.examples if prog.fixed_batch else ()
-            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken,
-                                    self.queries)
+            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken)
         if not prog.alternating:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity)
@@ -409,14 +403,12 @@ class _ExtractionRun:
         prefix = self.attempt.prefix
         if not prefix and want is LabelRestriction.ONE_QUERY:
             self.pending = "label"
-            return _memo(self.queries, "label",
-                         lambda: _label_query(prog.arity))
+            return _label_query(prog.arity)
         if prefix and prefix[0] == want.forced_label:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity, restriction=want)
         self.pending = "pad"
-        return _memo(self.queries, want,
-                     lambda: constant_zero_query(prog.arity, want))
+        return constant_zero_query(prog.arity, want)
 
     def receive(self, response: Sequence[float]) -> None:
         prog = self.prog

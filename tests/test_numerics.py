@@ -16,6 +16,7 @@ from gradlab.numerics import (
     ToleranceError,
     clip1,
     grid_exponent,
+    _SMALL,
     recover_batch_average,
     round_approximate,
     round_nearest_multiple,
@@ -212,12 +213,13 @@ EDGES = [0.0, -0.0, 0.25, 0.5, 0.75, -0.25, -0.5, -0.75, 1.0, -1.0,
 @settings(max_examples=400)
 @given(st.integers(0, 13), st.sampled_from(ALL_STRATEGIES),
        st.integers(-3, 5),
-       st.sampled_from([(), (1,), (4,), (8,), (9,), (2, 3), (40,)]),
+       st.sampled_from([(), (1,), (4,), (_SMALL,), (_SMALL + 1,), (2, 3),
+                        (40,)]),
        st.data())
 def test_rounding_matches_reference_bitwise(d, strat, seed, shape, data):
     # band edges, signed zeros, NaN (which passes the range check) and
     # out-of-range entries, on 0-d, 1-d and 2-d inputs; 1-d inputs of up
-    # to eight entries take the Python-float path, the others numpy
+    # to _SMALL entries take the Python-float path, the others numpy
     rho = 2.0 ** -d
     q = data.draw(st.lists(st.integers(-(2 ** d), 2 ** d),
                            min_size=math.prod(shape),
@@ -249,7 +251,7 @@ def test_valid_rounding_at_its_tolerance_edge(d):
     # both sides of the Python-float cutoff
     rho = 2.0 ** -d
     tol = 0.75 * rho + 1e-12 * rho
-    for size in (1, 3, 8, 9, 20):
+    for size in (1, 3, _SMALL, _SMALL + 1, 20):
         for v in (tol, -tol, np.nextafter(tol, 1.0)):
             g, vs = np.zeros(size), np.full(size, v)
             assert valid_rounding(g, vs, rho) == _reference_valid(g, vs, rho)

@@ -218,17 +218,15 @@ class _PerRoundAuditor:
             else:
                 self._finished = query is None
         touched = bool(theta.any())
-        if self._failed:
-            self.audit.unreplayed_rounds += 1
-        elif query is None:
-            self.audit.pad_rounds += 1
-            gap = float(np.max(np.abs(theta))) if touched else 0.0
-        else:
-            self.audit.active_rounds += 1
-            vals = [query.evaluate(ex) for ex in info.batch]
-            avg = np.mean(vals, axis=0) if vals else np.zeros(lay.p)
-            gap = float(np.max(np.abs(theta - avg))) if lay.p else 0.0
-        if not self._failed:
+        if not self._failed:  # else counted in audit.unreplayed_rounds
+            if query is None:
+                self.audit.pad_rounds += 1
+                gap = float(np.max(np.abs(theta))) if touched else 0.0
+            else:
+                self.audit.active_rounds += 1
+                vals = [query.evaluate(ex) for ex in info.batch]
+                avg = np.mean(vals, axis=0) if vals else np.zeros(lay.p)
+                gap = float(np.max(np.abs(theta - avg))) if lay.p else 0.0
             self.audit.max_response_gap = max(self.audit.max_response_gap,
                                               gap)
             if gap > 3.0 * self.rho + 1e-12:
