@@ -18,10 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# the walk reads counts through recover_batch_counts; recover_batch_average
-# stays a name of this module, where span tracers patch it
-from .numerics import (ToleranceError, recover_batch_average,  # noqa: F401
-                       recover_batch_counts)
+from .numerics import ToleranceError, recover_batch_counts
+from .numerics import recover_batch_average  # noqa: F401, traced by name
 from .paradigms import (
     BitStream,
     LabelRestriction,
@@ -135,8 +133,7 @@ class _Attempt:
     """
 
     def __init__(self, n: int, batch_size: int, tau: float,
-                 taken: Sequence[Example] = (),
-                 queries: dict | None = None):
+                 taken: Sequence[Example] = (), queries: dict | None = None):
         self.n = int(n)
         self.batch_size = int(batch_size)
         self.tau = tau

@@ -915,24 +915,17 @@ class BitStream:
         self._buffer = 0
         self._available = 0
 
-    def _refill(self) -> None:
-        drawn = int(self._rng.integers(0, 1 << 62, dtype=np.int64))
-        self._buffer = int(f"{drawn:062b}"[::-1], 2)
-        self._available = 62
-
     def bit(self) -> int:
-        if self._available == 0:
-            self._refill()
-        self._available -= 1
-        self.consumed += 1
-        return (self._buffer >> self._available) & 1
+        return self.take(1)
 
     def take(self, k: int) -> int:
-        """k fresh bits assembled MSB first: k calls of `bit` in one."""
+        """k fresh bits assembled MSB first."""
         out = 0
         while k > 0:
             if self._available == 0:
-                self._refill()
+                drawn = int(self._rng.integers(0, 1 << 62, dtype=np.int64))
+                self._buffer = int(f"{drawn:062b}"[::-1], 2)
+                self._available = 62
             n = min(k, self._available)
             self._available -= n
             self.consumed += n
