@@ -625,6 +625,7 @@ def test_pad_faults_match_per_round_audit(kind):
     got, want = _replay([fast, slow], method, out, faults)
     assert got == want
     audit = fast.audit
+    assert audit.pad_rounds > 0 and audit.unreplayed_rounds == 0
     if kind == "off_grid":
         assert audit.max_snap_distance == pytest.approx(0.3 * method.rho)
         assert audit.binding_bound == "tight bound exceeded"
