@@ -34,6 +34,7 @@ from .paradigms import (
     RoundBlock,
     SQQuery,
     _IntBits,
+    _ValueStore,
     round_restriction,
     run_bsgd,
 )
@@ -486,12 +487,16 @@ class _CompiledCore:
         g[kidx] = lp * sign
         return g
 
-    def batch_gradient(self, w: np.ndarray, items, bits: np.ndarray
+    def batch_gradient(self, w: np.ndarray, items, bits: np.ndarray,
+                       store: _ValueStore | None = None,
+                       rows: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`gradient` on every example of a round, as one block: one
-        query evaluation on `bits` relabelled to the round's label, and
-        1-D dots as in `gradient`, since a matrix product may round
-        differently (the sign of a zero dot never reaches f)."""
+        """`gradient` on every example of a round, as one block: the
+        query's values relabelled to the round's label, taken from the
+        run's `store` (the round: pool rows `rows`) or from a store over
+        this round alone, and 1-D dots as in `gradient`, since a matrix
+        product may round differently (the sign of a zero dot never
+        reaches f)."""
         cur, i = self._locate(w)
         lay = self.layout
         b = len(items)
@@ -504,10 +509,9 @@ class _CompiledCore:
         odd = i % 2 == 1
         feats, inner = np.ones((b, 1)), 0.0  # the clock's column
         if q is not None:
-            label = 1 if odd else 0
-            relabelled = bits.copy()
-            relabelled[:, 0] = label
-            vals = q.evaluate(_Relabelled(items, label), relabelled)
+            if store is None:
+                store = _ValueStore(items, bits)
+            vals = store.take(q, rows, items, bits, 1 if odd else 0)
             theta = lay.theta(w, i)
             # a block not yet written gives exact (signed) zeros or NaN
             inner = (np.array([row @ theta for row in vals]) if theta.any()
@@ -517,20 +521,6 @@ class _CompiledCore:
         slope = (f - bits[:, 0]) * (1.0 if odd else -1.0)
         coords = np.arange(kidx + 1 - feats.shape[1], kidx + 1)
         return coords, slope[:, None] * feats, feats != 0.0
-
-
-class _Relabelled:
-    """Examples relabelled lazily, for a query's per-example loop only."""
-
-    def __init__(self, items, label: int):
-        self.items = items
-        self.label = label
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return (Example(ex.x, self.label) for ex in self.items)
 
 
 def compile_program(prog: QueryProgram, rho: float) -> DiffModel:
@@ -677,6 +667,8 @@ class TrajectoryAuditor:
         self._blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._bits: np.ndarray | None = None
         self._replay_failed = False
+        self._store: _ValueStore | None = None
+        self._means: dict = {}
 
     @property
     def audit(self) -> TrajectoryAudit:
@@ -710,7 +702,7 @@ class TrajectoryAuditor:
                     [block.pool[x] for x in row.tolist()]),
                     {c: float(block.avg[j])}, {c: float(block.response[j])},
                     w, None if block.pool_bits is None
-                    else block.pool_bits[row]))
+                    else block.pool_bits[row], row, block.pool_bits))
                 j += 1
                 continue
             stop = j + int(np.argmin(np.append(own[j:], False)))
@@ -739,6 +731,7 @@ class TrajectoryAuditor:
             self._log = _RoundLog(w.copy())
             self._blocks = []
             self._replay_failed = False
+            self._store = None
             audit.trials += 1
         audit.rounds += 1
         log = self._log
@@ -761,9 +754,8 @@ class TrajectoryAuditor:
             audit.pad_rounds += 1
         else:
             audit.active_rounds += 1
-            log.avgs.append((i - log.first, np.mean(
-                query.evaluate(info.batch, info.bits), axis=0) if info.batch
-                else np.zeros(lay.p)))
+            log.avgs.append((i - log.first, self._batch_average(query, info)
+                             if info.batch else np.zeros(lay.p)))
         log.kappas.append(np.array([w[top]]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
@@ -775,6 +767,26 @@ class TrajectoryAuditor:
         if i == lay.T:
             self._check()
             self._final_sweep(w)
+
+    def _batch_average(self, query: SQQuery, info: BSGDRoundInfo
+                       ) -> np.ndarray:
+        """The round's query averaged over its batch.  Given the pool's
+        rows, the values come from the trial's own store over that pool,
+        and a whole-pool round averages each key once."""
+        if info.pool_bits is None:
+            return np.mean(query.evaluate(info.batch, info.bits), axis=0)
+        store = self._store
+        if store is None or store.bits is not info.pool_bits:
+            store = self._store = _ValueStore(None, info.pool_bits)
+            self._means = {}
+        whole = info.rows is None and query.key is not None
+        mean = self._means.get(query.key) if whole else None
+        if mean is None:
+            mean = np.mean(store.take(query, info.rows, info.batch,
+                                      info.bits), axis=0)
+            if whole:
+                self._means[query.key] = mean
+        return mean
 
     def _check(self) -> None:
         """Run every check on the rounds recorded since the last one."""

@@ -289,7 +289,7 @@ def _hash_vector(w: np.ndarray) -> str:
 def _apply_noise(mean: np.ndarray, tau: float, adversary: NoiseAdversary,
                  rng: np.random.Generator) -> np.ndarray:
     if adversary is NoiseAdversary.ZERO_NOISE:
-        noisy = mean.copy()
+        noisy = mean
     elif adversary is NoiseAdversary.PLUS_TAU:
         noisy = mean + tau
     elif adversary is NoiseAdversary.MINUS_TAU:
@@ -298,29 +298,93 @@ def _apply_noise(mean: np.ndarray, tau: float, adversary: NoiseAdversary,
         noisy = mean + rng.uniform(-tau, tau, size=mean.shape)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(adversary)
-    return np.clip(noisy, -1.0, 1.0)
+    return noisy.clip(-1.0, 1.0)  # np.clip's ufunc, without its wrapper
 
 
-class _SupportValueCache:
-    """Per-oracle cache of query values on the support of D.
+class _Relabelled:
+    """Examples relabelled lazily, for a query's per-example loop only."""
 
-    Keyed by `query.key`, or by the query object itself (its identity)
-    when it has none.  Evaluating on the support also runs the range
-    and restriction checks on every example the oracle could ever draw;
-    a query failing them raises before anything is stored.
+    def __init__(self, items, label: int):
+        self.items = items
+        self.label = label
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return (Example(ex.x, self.label) for ex in self.items)
+
+
+def _relabel(items, bits: np.ndarray, label: int | None) -> tuple:
+    """The rows with label `label` (None: as they are): column 0 of their
+    joint bits set, and their examples relabelled lazily."""
+    if label is None:
+        return items, bits
+    bits = bits.copy()
+    bits[:, 0] = label
+    return _Relabelled(items, label), bits
+
+
+class _ValueStore:
+    """Checked query values on one pool of P examples, one array per key.
+
+    `values(query, label)` evaluates a query once on the whole pool
+    (relabelled to `label` if one is given) and keeps the read-only
+    (P, arity) values under `(query.key, label)`, since equal keys mean
+    equal values and checks; an unkeyed query is kept under the object
+    itself, which an oracle's repeat wrappers ask again and again.
+
+    `take` serves one round's rows.  An unkeyed query, or a keyed one
+    that failed a check anywhere on the pool, is evaluated on the round's
+    own rows, as without a store: a bad value on a row the round did not
+    draw goes unseen, one on a drawn row raises that row's error.  A
+    store lives as long as its run, oracle or audited trial.
     """
 
-    def __init__(self, D: FiniteDistribution):
-        self.D = D
-        self._cache: dict[Hashable, np.ndarray] = {}
+    def __init__(self, pool: Sequence[Example] | None, bits: np.ndarray):
+        self._pool = pool
+        self.bits = bits
+        self._values: dict[Hashable, np.ndarray] = {}
+        self._failed: set[tuple] = set()
+        self.evaluations = 0
+        self.hits = 0
 
-    def values(self, query: SQQuery) -> np.ndarray:
-        key = query if query.key is None else query.key
-        vals = self._cache.get(key)
-        if vals is None:
-            vals = query.evaluate(self.D.support, self.D.joint_bits)
-            self._cache[key] = vals
+    @property
+    def pool(self) -> Sequence[Example]:
+        """The pool's examples, rebuilt from its joint bits if not given."""
+        if self._pool is None:
+            self._pool = [Example.from_joint_bits(tuple(z))
+                          for z in self.bits.tolist()]
+        return self._pool
+
+    def values(self, query: SQQuery, label: int | None = None) -> np.ndarray:
+        """The checked values on the pool; raises the error of a failed
+        check, keeping nothing."""
+        key = query if query.key is None else (query.key, label)
+        vals = self._values.get(key)
+        if vals is not None:
+            self.hits += 1
+            return vals
+        self.evaluations += 1
+        vals = query.evaluate(*_relabel(self.pool, self.bits, label))
+        vals.setflags(write=False)
+        self._values[key] = vals
         return vals
+
+    def take(self, query: SQQuery, rows: np.ndarray | None, items,
+             bits: np.ndarray, label: int | None = None) -> np.ndarray:
+        """The values of the round whose examples `items` (joint bits:
+        `bits`) are the pool rows `rows` (None: the whole pool in order)."""
+        key = (query.key, label)
+        if query.key is not None and key not in self._failed:
+            try:
+                vals = self.values(query, label)
+            except Exception:  # whatever failed, the round's rows decide
+                self._failed.add(key)
+            else:
+                return vals if rows is None else vals[rows]
+        self.evaluations += 1
+        return query.evaluate(*_relabel(items, bits, label))
 
 
 class _QueryOracle:
@@ -371,11 +435,11 @@ class SQOracle(_QueryOracle):
                  seed: int = 0, record: bool = True):
         super().__init__(tau, adversary, seed, record)
         self.D = D
-        self._support = _SupportValueCache(D)
+        self._store = _ValueStore(D.support, D.joint_bits)
         self.transcript = Transcript(meta={"kind": self.kind, "tau": self.tau})
 
     def _rows(self, query: SQQuery):
-        vals = self._support.values(query)
+        vals = self._store.values(query)
         return vals, self.D.probs @ vals, None
 
 
@@ -400,7 +464,7 @@ class BSQOracle(_QueryOracle):
         self.D = D
         self.b = int(b)
         self.seed = int(seed)
-        self._support = _SupportValueCache(D)
+        self._store = _ValueStore(D.support, D.joint_bits)
         self.record_items = record_items
         self.transcript = Transcript(
             meta={"kind": self.kind, "b": self.b, "tau": self.tau,
@@ -408,7 +472,7 @@ class BSQOracle(_QueryOracle):
         self.samples_consumed = 0
 
     def _rows(self, query: SQQuery):
-        vals = self._support.values(query)
+        vals = self._store.values(query)
         idx = self.D.draw_indices(self._rng, self.b)
         self.samples_consumed += self.b
         self.transcript.samples_consumed = self.samples_consumed
@@ -437,12 +501,14 @@ class FBSQOracle(_QueryOracle):
         self.m = len(batch.items)
         self._codes = [ex.joint_code() for ex in batch.items]
         self._bits = joint_bit_matrix(batch.items)
+        self._bits.setflags(write=False)
+        self._store = _ValueStore(batch.items, self._bits)
         self.record_items = record_items
         self.transcript = Transcript(
             meta={"kind": self.kind, "m": self.m, "tau": self.tau})
 
     def _rows(self, query: SQQuery):
-        vals = query.evaluate(self.batch.items, self._bits)
+        vals = self._store.take(query, None, self.batch.items, self._bits)
         return vals, vals.mean(axis=0), self._codes
 
 
@@ -509,12 +575,14 @@ class DiffModel:
     the runners then take the whole tail in one pass, with the same
     result as clipping and summing every example of every round.
 
-    batch_gradient(w, items, bits), when given, returns the gradients
-    of the b `items` (joint bits: the (b, n+1) matrix `bits`) as one
-    block: the k distinct coordinates they may touch, a (b, k) array of
-    unclipped values and the (b, k) mask of the entries each example's
-    dict would hold, in that coordinate order.  It must match bit for
-    bit the block the runners otherwise lift from the clipped
+    batch_gradient(w, items, bits, store=None, rows=None), when given,
+    returns the gradients of the b `items` (joint bits: the (b, n+1)
+    matrix `bits`) as one block: the k distinct coordinates they may
+    touch, a (b, k) array of unclipped values and the (b, k) mask of the
+    entries each example's dict would hold, in that coordinate order.
+    The runners pass their run's value store over the pool and the
+    round's pool rows (None: the whole pool in order).  It must match
+    bit for bit the block the runners otherwise lift from the clipped
     per-example gradients (for dense ones: coordinates and mask None).
     """
 
@@ -550,8 +618,10 @@ class ModelSnapshot:
 class BSGDRoundInfo:
     """Post-update view of one gradient round, passed to audit hooks; a
     `takes_round_blocks` hook gets transcript-free pad passes as blocks.
-    `bits`, when given, holds the batch's joint bits, one row each; a
-    hook reads it and never writes it."""
+    `bits`, when given, holds the batch's joint bits, one row each;
+    `pool_bits`, when given, is the runner's read-only matrix of the
+    pool's joint bits, and the batch is its rows `rows` (None: the whole
+    pool in order, and `bits` is `pool_bits`)."""
 
     index: int
     batch: tuple[Example, ...]
@@ -559,6 +629,8 @@ class BSGDRoundInfo:
     response: object
     w: np.ndarray
     bits: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    pool_bits: np.ndarray | None = None
 
 
 @dataclass
@@ -568,8 +640,8 @@ class RoundBlock:
     clipped gradients average to `avg[j]` at coordinate `coords[j]`
     (distinct in a block), which `response[j]` moved from `before[j]` to
     `after[j]`; `w` is the vector after the last round.  `pool_bits`,
-    when given, is the runner's matrix of the pool's joint bits, one row
-    each; a hook reads it and never writes it."""
+    when given, is the runner's read-only matrix of the pool's joint
+    bits, one row each."""
 
     first: int
     pool: Sequence[Example]
@@ -617,16 +689,21 @@ def _lifted_block(model: DiffModel, w: np.ndarray,
 
 def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
                    bits: np.ndarray, rho: float, gamma: float,
-                   rounding: RoundingOracle) -> tuple[object, object, object]:
+                   rounding: RoundingOracle, store: _ValueStore | None = None,
+                   rows: np.ndarray | None = None
+                   ) -> tuple[object, object, object]:
     """Clip, sum the rows in batch order, average, round, step.
 
     Returns (grads, avg, response), `grads()` listing the clipped rows;
     a sparse block gives them as dicts, as merged per-example dicts do.
+    A `store` over the run's pool, with the round's `rows` in it, goes
+    to the model's batch gradient.
     """
     if model.batch_gradient is None:
         coords, grads, present = _lifted_block(model, w, items)
     else:
-        coords, vals, present = model.batch_gradient(w, items, bits)
+        coords, vals, present = model.batch_gradient(
+            w, items, bits, *(() if store is None else (store, rows)))
         grads = np.clip(vals, -1.0, 1.0)
     if present is None:
         avg = sum(grads[1:], grads[0]) / len(items)
@@ -690,9 +767,11 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
     """Shared loop of run_bsgd and run_fbgd.
 
     `draw(k)` returns the next k batches as a (k, b) array of indices
-    into `pool`, whose joint bits are the rows of `pool_bits`.  Rounds
+    into `pool`, whose joint bits are the rows of `pool_bits`; a frozen
+    batch (`fbgd`) is the pool itself, in order, every round.  Rounds
     the model can state in closed form (its `pad_tail`) take one pass;
-    every other round is one block step.
+    every other round is one block step, whose query values come from
+    one value store over the pool that lives as long as the run.
     Without a transcript a pad pass steps in one assignment and goes as
     one RoundBlock to a hook whose `__self__` sets `takes_round_blocks`
     (TrajectoryAuditor.hook); other hooks get a BSGDRoundInfo per round.
@@ -711,6 +790,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
         getattr(hook, "__self__", None), "takes_round_blocks", False))
     ahead = np.empty((0, b), dtype=np.intp)
     labels = None
+    store = _ValueStore(pool, pool_bits)
 
     def take(k: int) -> np.ndarray:
         # a pad pass draws all its batches up front; rounds it did not
@@ -722,7 +802,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
         rows, ahead = ahead[:k], ahead[k:]
         return rows
 
-    def finish_round(t, items, bits, avg, response, item_grads):
+    def finish_round(t, items, bits, avg, response, item_grads, rows):
         transcript.samples_consumed += len(items) if kind == "bsgd" else 0
         if record:
             rec = RoundRecord(
@@ -737,7 +817,8 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
             transcript.append(rec)
         if hook is not None:
             hook(BSGDRoundInfo(index=t, batch=items, avg=avg,
-                               response=response, w=w, bits=bits))
+                               response=response, w=w, bits=bits, rows=rows,
+                               pool_bits=pool_bits))
 
     t = 1
     while t <= T:
@@ -759,23 +840,26 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
                 continue
             per_item = (grads.tolist() if record and record_items
                         else repeat(None))
-            for c, a, v, x, row, g in zip(
+            for c, a, v, x, row, at, g in zip(
                     block.coords.tolist(), block.avg.tolist(),
                     block.response.tolist(), block.after.tolist(),
-                    block.rows.tolist(), per_item):
+                    block.rows.tolist(), block.rows, per_item):
                 if v != 0.0:
                     w[c] = x
-                finish_round(t, tuple([pool[i] for i in row]), pool_bits[row],
+                finish_round(t, tuple([pool[i] for i in row]), pool_bits[at],
                              {c: a}, {c: v},
-                             None if g is None else [{c: gi} for gi in g])
+                             None if g is None else [{c: gi} for gi in g], at)
                 t += 1
             continue
-        row = take(1)[0]
-        items, rows_bits = tuple([pool[i] for i in row]), pool_bits[row]
+        if kind == "fbgd":
+            row, items, rows_bits = None, pool, pool_bits
+        else:
+            row = take(1)[0]
+            items, rows_bits = tuple([pool[i] for i in row]), pool_bits[row]
         grads, avg, response = _gradient_step(model, w, items, rows_bits, rho,
-                                              gamma, rounding)
+                                              gamma, rounding, store, row)
         finish_round(t, items, rows_bits, avg, response,
-                     grads() if record and record_items else None)
+                     grads() if record and record_items else None, row)
         t += 1
     transcript.random_bits_consumed = model.random_bits
     if kind == "fbgd":
@@ -818,14 +902,15 @@ def run_fbgd(model: DiffModel, S: Batch, T: int, rho: float,
         rounding = RoundingOracle()
     items = tuple(S.items)
     every = np.arange(len(items))
+    bits = joint_bit_matrix(items)
+    bits.setflags(write=False)
 
     def draw(k: int) -> np.ndarray:
         return np.broadcast_to(every, (k, len(items)))
 
-    return _run_gradient_method(model, items, joint_bit_matrix(items), draw,
-                                T, rho, gamma, rounding, seed, "fbgd",
-                                len(items), record, record_items,
-                                record_hashes, hook)
+    return _run_gradient_method(model, items, bits, draw, T, rho, gamma,
+                                rounding, seed, "fbgd", len(items), record,
+                                record_items, record_hashes, hook)
 
 
 # ---------------------------------------------------------------------------

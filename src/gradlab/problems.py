@@ -135,13 +135,14 @@ class FiniteDistribution:
             [ex.joint_code() for ex in self.support], dtype=np.int64
         )
         self.joint_bits: np.ndarray = joint_bit_matrix(self.support)
+        self.joint_bits.setflags(write=False)  # shared by oracles and runs
 
     def __len__(self) -> int:
         return len(self.support)
 
     def draw_indices(self, rng: np.random.Generator, b: int) -> np.ndarray:
         """Support indices of b i.i.d. inverse-CDF draws from rng."""
-        idx = np.searchsorted(self.cdf, rng.random(b), side="right")
+        idx = self.cdf.searchsorted(rng.random(b), side="right")
         return np.minimum(idx, len(self.support) - 1)
 
     def expectation(self, f) -> float:

@@ -8,15 +8,23 @@ The extraction round: a fresh `prefix_query` object every round, counts
 read off `recover_batch_average`'s numerators, random bits assembled
 one `bit()` call at a time, and the batch mean taken by `ndarray.mean`
 with the batch codes gathered on every ask.
+
+Query values round by round: a support cache with one entry per query
+object, a frozen-batch oracle that evaluates every ask, a compiled
+model's batch gradient that evaluates each round's query on a
+relabelled copy of the round's joint bits, and an auditor that averages
+each active round's query over the round's batch.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Sequence
 
 import numpy as np
 
 from gradlab import paradigms
+from gradlab.diffsim import TrajectoryAuditor
 from gradlab.extract import (
     ExtractionProgram,
     Failure,
@@ -28,9 +36,11 @@ from gradlab.extract import (
 )
 from gradlab.numerics import recover_batch_average
 from gradlab.paradigms import (
+    DiffModel,
     LabelRestriction,
     SQQuery,
     _IntBits,
+    _Relabelled,
     constant_zero_query,
     round_restriction,
 )
@@ -68,7 +78,7 @@ class BSQOracle(paradigms.BSQOracle):
     """The library's batch oracle, averaging with `ndarray.mean`."""
 
     def _rows(self, query: SQQuery):
-        vals = self._support.values(query)
+        vals = self._store.values(query)
         idx = self.D.draw_indices(self._rng, self.b)
         self.samples_consumed += self.b
         self.transcript.samples_consumed = self.samples_consumed
@@ -280,3 +290,72 @@ class _ExtractionRun:
         if len(self.examples) < prog.m:
             return ZeroPredictor()
         return prog.learner(self.examples[:prog.m], self.payload_bits)
+
+
+# ---------------------------------------------------------------------------
+# query values round by round
+
+
+class ObjectCache:
+    """The support cache before keys: one entry per query object."""
+
+    def __init__(self, D):
+        self.D = D
+        self._values: dict = {}
+
+    def values(self, query: SQQuery) -> np.ndarray:
+        hit = self._values.get(id(query))
+        if hit is not None and hit[0] is query:
+            return hit[1]
+        vals = query.evaluate(self.D.support, self.D.joint_bits)
+        self._values[id(query)] = (query, vals)
+        return vals
+
+
+class FBSQOracle(paradigms.FBSQOracle):
+    """The frozen-batch oracle, evaluating every ask on the batch."""
+
+    def _rows(self, query: SQQuery):
+        vals = query.evaluate(self.batch.items, self._bits)
+        return vals, vals.mean(axis=0), self._codes
+
+
+def per_round_model(model: DiffModel) -> DiffModel:
+    """The compiled `model` with a batch gradient that ignores the run's
+    value store: each round evaluates its query on the round's rows."""
+    core = model.batch_gradient.__self__
+
+    def batch_gradient(w, items, bits, store=None, rows=None):
+        cur, i = core._locate(w)
+        lay = core.layout
+        b = len(items)
+        if i == lay.T + 1:
+            empty = np.zeros((b, 0))
+            return np.zeros(0, np.intp), empty, empty != 0.0
+        kidx = lay.kappa_index(i)
+        kap = float(w[kidx])
+        q = core._query(cur, w, i)
+        odd = i % 2 == 1
+        feats, inner = np.ones((b, 1)), 0.0
+        if q is not None:
+            label = 1 if odd else 0
+            relabelled = bits.copy()
+            relabelled[:, 0] = label
+            vals = q.evaluate(_Relabelled(items, label), relabelled)
+            theta = lay.theta(w, i)
+            inner = (np.array([row @ theta for row in vals]) if theta.any()
+                     else (vals * theta).sum(axis=1))
+            feats = np.concatenate((vals, feats), axis=1)
+        f = inner + kap - core.eps if odd else 1.0 - inner - kap + core.eps
+        slope = (f - bits[:, 0]) * (1.0 if odd else -1.0)
+        coords = np.arange(kidx + 1 - feats.shape[1], kidx + 1)
+        return coords, slope[:, None] * feats, feats != 0.0
+
+    return dataclasses.replace(model, batch_gradient=batch_gradient)
+
+
+class PerRoundAuditor(TrajectoryAuditor):
+    """The auditor averaging each active round's query over its batch."""
+
+    def _batch_average(self, query: SQQuery, info) -> np.ndarray:
+        return np.mean(query.evaluate(info.batch, info.bits), axis=0)

@@ -2,15 +2,16 @@
 
 `SQQuery.key` promises that two queries with equal keys return the same
 values and pass or fail the same checks on any rows.  Prefix, label and
-pad queries carry keys, and the support cache of `SQOracle` and
+pad queries carry keys, and the value store of `SQOracle` and
 `BSQOracle` looks values up by key (by query object when there is
-none).  The reference is that cache as it was before keys, one entry
-per query object: both must give the same examples, transcripts,
+none).  The reference is the support cache as it was before keys, one
+entry per query object: both must give the same examples, transcripts,
 samples drawn and oracle random stream, bit for bit.
 
 The auditor reads a round's rows from the runner's joint-bit matrix
-(`BSGDRoundInfo.bits`, `RoundBlock.pool_bits`); handed the same rounds
-without those rows, it must reach the same audit or error.
+(`BSGDRoundInfo.bits`, `rows` and `pool_bits`, `RoundBlock.pool_bits`);
+handed the same rounds without those rows, it must reach the same audit
+or error.
 """
 import dataclasses
 import itertools
@@ -50,6 +51,7 @@ from gradlab.problems import (
     sample_batch,
 )
 from gradlab.reductions import sq_to_bsq
+from reference import ObjectCache
 from test_batch_gradient import ROUNDS, _case
 from test_train_bytes import _audit_fields
 
@@ -154,25 +156,9 @@ def test_equal_keys_evaluate_alike_on_random_blocks(key, data, rows):
 # keyed oracles against the cache by query object
 
 
-class _ObjectCache:
-    """The support cache before keys: one entry per query object."""
-
-    def __init__(self, D: FiniteDistribution):
-        self.D = D
-        self._cache: dict = {}
-
-    def values(self, query: SQQuery) -> np.ndarray:
-        hit = self._cache.get(id(query))
-        if hit is not None and hit[0] is query:
-            return hit[1]
-        vals = query.evaluate(self.D.support, self.D.joint_bits)
-        self._cache[id(query)] = (query, vals)
-        return vals
-
-
 def _pair(make):
     keyed, reference = make(), make()
-    reference._support = _ObjectCache(reference.D)
+    reference._store = ObjectCache(reference.D)
     return keyed, reference
 
 
@@ -261,7 +247,7 @@ def test_keyed_oracles_match_the_object_cache(tmp_path_factory, n, support,
         for o in _pair(lambda: BSQOracle(D, lifted.b, lifted.tau, adversary,
                                          seed, record_items=True)):
             outcomes.append(_observed(o, _drive(lifted, o, seed), path))
-            outcomes[-1] += (len(o._support._cache),)
+            outcomes[-1] += (len(o._store._values),)
         assert outcomes[0][:-1] == outcomes[1][:-1]
         assert outcomes[0][-1] <= outcomes[1][-1]
 
@@ -274,8 +260,8 @@ def test_walk_evaluates_each_distinct_prefix_once():
     assert keyed.rounds == reference.rounds
     # the walk reuses its query objects, so the identity-keyed cache
     # holds one entry per distinct prefix, as the keyed one does
-    assert len(reference._support._cache) == len(keyed._support._cache)
-    assert len(keyed._support._cache) < keyed.rounds
+    assert len(reference._store._values) == len(keyed._store._values)
+    assert len(keyed._store._values) < keyed.rounds
 
 
 @pytest.mark.parametrize("kind", ["sq", "bsq"])
@@ -305,7 +291,7 @@ def test_failing_query_raises_on_every_ask(kind, bad):
     assert len(messages) == 1
     assert oracle.rounds == 0 and not oracle.transcript.records
     assert oracle.transcript.samples_consumed == 0
-    assert not oracle._support._cache
+    assert not oracle._store._values
     assert oracle._rng.random() == fresh._rng.random()
 
 
@@ -327,14 +313,19 @@ class _Relay:
 
     def hook(self, info) -> None:
         if isinstance(info, BSGDRoundInfo):
-            field, items = "bits", info.batch
+            fields, items = ("bits", "rows", "pool_bits"), info.batch
+            rows = info.bits
+            pool = info.pool_bits
+            if pool is None or not np.array_equal(
+                    rows, pool if info.rows is None else pool[info.rows]):
+                self.wrong_rows += 1
         else:
-            field, items = "pool_bits", info.pool
-        self.kinds.add(field)
-        rows = getattr(info, field)
+            fields, items = ("pool_bits",), info.pool
+            rows = info.pool_bits
+        self.kinds.add(fields[0])
         if rows is None or not np.array_equal(rows, joint_bit_matrix(items)):
             self.wrong_rows += 1
-        self.auditor.hook(dataclasses.replace(info, **{field: None})
+        self.auditor.hook(dataclasses.replace(info, **dict.fromkeys(fields))
                           if self.strip else info)
 
 
