@@ -507,17 +507,25 @@ class _CompiledCore:
         kap = float(w[kidx])
         q = self._query(cur, w, i)
         odd = i % 2 == 1
-        feats, inner = np.ones((b, 1)), 0.0  # the clock's column
+        # f with an inner product of (signed) zero, which never moves it
+        f = kap - self.eps if odd else 1.0 - kap + self.eps
+        feats = np.ones((b, 1 if q is None else lay.p + 1))  # clock last
         if q is not None:
             if store is None:
                 store = _ValueStore(items, bits)
             vals = store.take(q, rows, items, bits, 1 if odd else 0)
+            feats[:, :-1] = vals
             theta = lay.theta(w, i)
-            # a block not yet written gives exact (signed) zeros or NaN
-            inner = (np.array([row @ theta for row in vals]) if theta.any()
-                     else (vals * theta).sum(axis=1))
-            feats = np.concatenate((vals, feats), axis=1)
-        f = inner + kap - self.eps if odd else 1.0 - inner - kap + self.eps
+            if theta.any():
+                inner = np.array([row @ theta for row in vals])
+                f = (inner + kap - self.eps if odd
+                     else 1.0 - inner - kap + self.eps)
+            else:
+                # a block not yet written: a row's dot is a signed zero,
+                # unless the row holds a NaN (or an inf)
+                total = float(vals.sum())
+                if total - total != 0.0:
+                    f = (vals * theta).sum(axis=1) + f
         slope = (f - bits[:, 0]) * (1.0 if odd else -1.0)
         coords = np.arange(kidx + 1 - feats.shape[1], kidx + 1)
         return coords, slope[:, None] * feats, feats != 0.0
@@ -759,7 +767,10 @@ class TrajectoryAuditor:
         log.kappas.append(np.array([w[top]]))
         # pre-update output is constant in x, so the per-example loss slope
         # hits 1 + eps exactly on the off-label examples of the round
-        audit.clip_activations += [ex.y for ex in info.batch].count(i % 2)
+        labels = (info.bits[:, 0] if info.bits is not None
+                  else [ex.y for ex in info.batch])
+        ones = int(np.count_nonzero(labels))
+        audit.clip_activations += ones if i % 2 else len(labels) - ones
         if query is not None:
             theta = w[top - lay.p:top]
             cur.feed(i, round_nearest_multiple(theta, self.rho)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,7 +129,8 @@ class _Attempt:
     ones that extend the prefix from every recovered answer.  A walk on
     fresh batches takes none.  `queries` holds prefix queries by
     (prefix, pad_to, restriction): the attempt's own, or one dict the
-    attempts of an `extract_m_samples` call share.
+    attempts of an `extract_m_samples` call or of an
+    `ExtractionProgram` share.
     """
 
     def __init__(self, n: int, batch_size: int, tau: float,
@@ -296,24 +297,23 @@ class _BitCursor:
         self._overflow: BitStream | None = None
         self.overflow_consumed = 0
 
-    def bit(self) -> int:
-        if self._pos < len(self._bits):
-            out = self._bits[self._pos]
-            self._pos += 1
+    def take(self, k: int) -> int:
+        """k bits assembled MSB first: what is left of the pool, then at
+        most one draw of the rest from the extension."""
+        chunk = self._bits[self._pos:self._pos + k]
+        self._pos += len(chunk)
+        out = 0
+        for bit in chunk:
+            out = (out << 1) | bit
+        rest = k - len(chunk)
+        if rest <= 0:
             return out
         if self._overflow is None:
             digest = hashlib.sha256(
                 b"bit-pool:" + bytes(self._bits)).digest()
             self._overflow = BitStream(int.from_bytes(digest[:8], "little"))
-        self.overflow_consumed += 1
-        return self._overflow.bit()
-
-    def take(self, k: int) -> int:
-        """k bits assembled MSB first, one `bit` call each."""
-        out = 0
-        for _ in range(k):
-            out = (out << 1) | self.bit()
-        return out
+        self.overflow_consumed += rest
+        return (out << rest) | self._overflow.take(rest)
 
 
 @dataclass(eq=False)
@@ -334,6 +334,11 @@ class ExtractionProgram:
     variant against a frozen batch of size `b`: counts of already
     extracted examples are subtracted from every recovered answer, so
     the walk enumerates the batch and cannot stall.
+
+    Every attempt of every run shares the program's queries: one per
+    walk prefix shorter than n + 1 (its restriction follows from the
+    prefix), the label query and a pad query per restriction, so at
+    most 2**(n+1) + 2 of them.
     """
 
     n: int
@@ -346,6 +351,7 @@ class ExtractionProgram:
     alternating: bool = False
     fixed_batch: bool = False
     name: str = "extract"
+    _queries: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_tolerance(self.b, self.tau)
@@ -390,7 +396,8 @@ class _ExtractionRun:
         self.round += 1
         if self.attempt is None:
             taken = self.examples if prog.fixed_batch else ()
-            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken)
+            self.attempt = _Attempt(prog.n, prog.b, prog.tau, taken,
+                                    prog._queries)
         if not prog.alternating:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity)
@@ -398,14 +405,19 @@ class _ExtractionRun:
         # rounds of its label and pads the others
         want = round_restriction(self.round)
         prefix = self.attempt.prefix
+        queries = prog._queries
         if not prefix and want is LabelRestriction.ONE_QUERY:
             self.pending = "label"
-            return _label_query(prog.arity)
+            if "label" not in queries:
+                queries["label"] = _label_query(prog.arity)
+            return queries["label"]
         if prefix and prefix[0] == want.forced_label:
             self.pending = "walk"
             return self.attempt.query(pad_to=prog.arity, restriction=want)
         self.pending = "pad"
-        return constant_zero_query(prog.arity, want)
+        if want not in queries:
+            queries[want] = constant_zero_query(prog.arity, want)
+        return queries[want]
 
     def receive(self, response: Sequence[float]) -> None:
         prog = self.prog

@@ -133,8 +133,16 @@ def clip1(v) -> np.ndarray:
 
 def round_nearest_multiple(v, step: float) -> np.ndarray:
     """Round each entry to the nearest multiple of step, ties away from zero."""
-    grid_exponent(step)
-    return _nearest(np.asarray(v, dtype=float), step)
+    d = grid_exponent(step)
+    arr = np.asarray(v, dtype=float)
+    vals = _small(arr)
+    if vals is not None:
+        try:
+            return np.array(_round_small(vals, step, RoundingStrategy.NEAREST,
+                                         d, None))
+        except OverflowError:  # an entry scaled past the floats: numpy's inf
+            pass
+    return _nearest(arr, step)
 
 
 def _nearest(arr: np.ndarray, step: float) -> np.ndarray:
@@ -229,11 +237,11 @@ def _round_small(vals: list[float], rho: float, strategy: RoundingStrategy,
     `math.floor` is exact on floats; floor(-0.0) keeps its sign, as
     np.floor does, and np.sign(+-0.0) is +0.0.
     """
-    scaled = [x / rho for x in vals]
     if strategy is RoundingStrategy.NEAREST:
-        return [math.floor(abs(s) + 0.5)
+        return [math.floor(abs(s := x / rho) + 0.5)
                 * (1.0 if s > 0 else -1.0 if s < 0 else 0.0) * rho
-                for s in scaled]
+                for x in vals]
+    scaled = [x / rho for x in vals]
     lows = [float(math.floor(s)) if s else s for s in scaled]
     if strategy is RoundingStrategy.ADVERSARIAL_UP:
         return [(lo + 1.0 if lo + 1.0 - s <= 0.75 else lo) * rho

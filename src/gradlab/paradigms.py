@@ -618,10 +618,10 @@ class ModelSnapshot:
 class BSGDRoundInfo:
     """Post-update view of one gradient round, passed to audit hooks; a
     `takes_round_blocks` hook gets transcript-free pad passes as blocks.
-    `bits`, when given, holds the batch's joint bits, one row each;
-    `pool_bits`, when given, is the runner's read-only matrix of the
-    pool's joint bits, and the batch is its rows `rows` (None: the whole
-    pool in order, and `bits` is `pool_bits`)."""
+    `bits`, when given, holds the batch's joint bits, one row each, and
+    `pool_bits` the runner's matrix of the pool's joint bits, of which
+    the batch is rows `rows` (None: the whole pool in order, and `bits`
+    is `pool_bits`); the runners hand both read-only."""
 
     index: int
     batch: tuple[Example, ...]
@@ -704,29 +704,34 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
     else:
         coords, vals, present = model.batch_gradient(
             w, items, bits, *(() if store is None else (store, rows)))
-        grads = np.clip(vals, -1.0, 1.0)
+        grads = vals.clip(-1.0, 1.0)  # np.clip's ufunc, without its wrapper
+    b = len(items)
     if present is None:
-        avg = sum(grads[1:], grads[0]) / len(items)
+        avg = sum(grads[1:], grads[0]) / b
         response = round_approximate(avg, rho, rounding)
         w -= gamma * response
         return lambda: [g.tolist() for g in grads], avg, response
-    # an absent entry adds -0.0, the exact identity, but one absent from
-    # the first row starts from 0.0, as a dict merge's get does; a
-    # running sum is the batch-order sum
-    grads = np.where(present, grads, -0.0)
-    grads[0, ~present[0]] = 0.0
-    avg = grads.cumsum(axis=0)[-1] / len(items)
-    held = np.flatnonzero(present.any(axis=0))
-    first = held[np.argsort(present[:, held].argmax(axis=0), kind="stable")]
-    held = held[np.argsort(coords[held], kind="stable")]
-    rounded = (round_approximate(avg[held], rho, rounding) if held.size
-               else np.zeros(0))
-    nz = rounded != 0.0
-    w[coords[held[nz]]] -= gamma * rounded[nz]
+    # an absent entry adds -0.0, the exact identity, and a running sum is
+    # the batch-order sum; a dict merge's get starts an entry absent from
+    # the first row at 0.0, which differs only from a sum of -0.0s
+    sums = np.where(present, grads, -0.0).cumsum(axis=0)[-1].tolist()
+    head = present[0].tolist()
+    avg = [(s if s or head[j] else 0.0) / b for j, s in enumerate(sums)]
+    keys = coords.tolist()
+    at = present.argmax(axis=0).tolist()
+    held = [j for j, s in enumerate(present.any(axis=0).tolist()) if s]
+    first = sorted(held, key=at.__getitem__)
+    held.sort(key=keys.__getitem__)  # one pass when coords ascend
+    rounded = (round_approximate([avg[j] for j in held], rho,
+                                 rounding).tolist() if held else [])
+    response = {}
+    for j, v in zip(held, rounded):
+        response[keys[j]] = v
+        if v != 0.0:
+            w[keys[j]] -= gamma * v
     return (lambda: [dict(zip(coords[p].tolist(), g[p].tolist()))
                      for g, p in zip(grads, present)],
-            dict(zip(coords[first].tolist(), avg[first].tolist())),
-            dict(zip(coords[held].tolist(), rounded.tolist())))
+            {keys[j]: avg[j] for j in first}, response)
 
 
 def _pad_pass(tail: PadTail, first: int, pool: Sequence[Example],
@@ -816,6 +821,7 @@ def _run_gradient_method(model: DiffModel, pool: Sequence[Example],
                 rec.iterate_hash = _hash_vector(w)
             transcript.append(rec)
         if hook is not None:
+            bits.setflags(write=False)  # a hook reads its rows, never writes
             hook(BSGDRoundInfo(index=t, batch=items, avg=avg,
                                response=response, w=w, bits=bits, rows=rows,
                                pool_bits=pool_bits))

@@ -12,8 +12,14 @@ with the batch codes gathered on every ask.
 Query values round by round: a support cache with one entry per query
 object, a frozen-batch oracle that evaluates every ask, a compiled
 model's batch gradient that evaluates each round's query on a
-relabelled copy of the round's joint bits, and an auditor that averages
-each active round's query over the round's batch.
+relabelled copy of the round's joint bits and works out f from every
+row's inner product, and an auditor that averages each active round's
+query over the round's batch.
+
+The compiled round: a program's prefix queries built fresh each round
+(`ReferenceExtractionProgram`), its bit cursor serving one bit per call,
+nearest rounding always on numpy, and the block step's sparse tail in
+numpy calls: masked rows, the row-0 fix, argsorts and fancy indexing.
 """
 from __future__ import annotations
 
@@ -34,13 +40,21 @@ from gradlab.extract import (
     descent_bit,
     prefix_query,
 )
-from gradlab.numerics import recover_batch_average
+from gradlab.numerics import (
+    RoundingOracle,
+    _nearest,
+    grid_exponent,
+    recover_batch_average,
+    round_approximate,
+)
 from gradlab.paradigms import (
     DiffModel,
     LabelRestriction,
     SQQuery,
     _IntBits,
+    _lifted_block,
     _Relabelled,
+    _ValueStore,
     constant_zero_query,
     round_restriction,
 )
@@ -359,3 +373,45 @@ class PerRoundAuditor(TrajectoryAuditor):
 
     def _batch_average(self, query: SQQuery, info) -> np.ndarray:
         return np.mean(query.evaluate(info.batch, info.bits), axis=0)
+
+
+# ---------------------------------------------------------------------------
+# the compiled round
+
+
+def round_nearest_multiple(v, step: float) -> np.ndarray:
+    """Nearest rounding on numpy, whatever the input's length."""
+    grid_exponent(step)
+    return _nearest(np.asarray(v, dtype=float), step)
+
+
+def gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
+                  bits: np.ndarray, rho: float, gamma: float,
+                  rounding: RoundingOracle, store: _ValueStore | None = None,
+                  rows: np.ndarray | None = None):
+    """The block step with its sparse tail in numpy calls."""
+    if model.batch_gradient is None:
+        coords, grads, present = _lifted_block(model, w, items)
+    else:
+        coords, vals, present = model.batch_gradient(
+            w, items, bits, *(() if store is None else (store, rows)))
+        grads = np.clip(vals, -1.0, 1.0)
+    if present is None:
+        avg = sum(grads[1:], grads[0]) / len(items)
+        response = round_approximate(avg, rho, rounding)
+        w -= gamma * response
+        return lambda: [g.tolist() for g in grads], avg, response
+    grads = np.where(present, grads, -0.0)
+    grads[0, ~present[0]] = 0.0
+    avg = grads.cumsum(axis=0)[-1] / len(items)
+    held = np.flatnonzero(present.any(axis=0))
+    first = held[np.argsort(present[:, held].argmax(axis=0), kind="stable")]
+    held = held[np.argsort(coords[held], kind="stable")]
+    rounded = (round_approximate(avg[held], rho, rounding) if held.size
+               else np.zeros(0))
+    nz = rounded != 0.0
+    w[coords[held[nz]]] -= gamma * rounded[nz]
+    return (lambda: [dict(zip(coords[p].tolist(), g[p].tolist()))
+                     for g, p in zip(grads, present)],
+            dict(zip(coords[first].tolist(), avg[first].tolist())),
+            dict(zip(coords[held].tolist(), rounded.tolist())))

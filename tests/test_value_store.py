@@ -288,8 +288,20 @@ def test_a_hook_writing_into_its_rows_raises():
             getattr(info, field)[0, 0] = 1
         return hook
 
-    with pytest.raises(ValueError, match="read-only"):
-        run_fbgd(model, sample_batch(D, 4, 1), T, rho, hook=write("bits"))
+    # every round a plain hook sees, active or pad, under both runners
+    for runner in ("bsgd", "fbgd"):
+        raised = []
+
+        def try_write(info):
+            with pytest.raises(ValueError, match="read-only"):
+                info.bits[0, 0] = 1
+            raised.append(info.index)
+
+        if runner == "bsgd":
+            run_bsgd(model, D, T, rho, 2, hook=try_write)
+        else:
+            run_fbgd(model, sample_batch(D, 4, 1), T, rho, hook=try_write)
+        assert raised == list(range(1, T + 1))
     for runner in ("bsgd", "fbgd"):
         with pytest.raises(ValueError, match="read-only"):
             if runner == "bsgd":
