@@ -35,10 +35,12 @@ from .paradigms import (
     SQQuery,
     _IntBits,
     _ValueStore,
+    _block_rows,
     round_restriction,
     run_bsgd,
 )
-from .problems import SQUARE_LOSS, Example, FiniteDistribution
+from .problems import (SQUARE_LOSS, Example, FiniteDistribution,
+                       joint_bit_matrix)
 
 __all__ = [
     "ClockRegionError",
@@ -59,6 +61,12 @@ __all__ = [
 
 class ClockRegionError(RuntimeError):
     """A clock coordinate landed in the dead zone between its regions."""
+
+
+def _clock_error(v: float, half: float, rho: float) -> ClockRegionError:
+    """The error for a clock value in neither region: NaN or the dead zone."""
+    return ClockRegionError(f"clock value {v} " + (
+        "is not a number" if v != v else f"in the dead zone ({half}, {rho})"))
 
 
 class SnapBoundError(RuntimeError):
@@ -85,6 +93,8 @@ def clock_gate(a1: float, a2: float, a3: float,
         return 0.0, (0.0, 0.0, 0.0)
     if a1 <= half and a2 <= half:
         return 0.0, (0.0, 0.0, 0.0)
+    if a1 != a1 or a2 != a2:
+        raise _clock_error(a1 if a1 != a1 else a2, half, rho)
     raise ClockRegionError(
         f"clock pair ({a1}, {a2}) falls in the dead zone of width {half}")
 
@@ -315,12 +325,10 @@ class _CompiledCore:
             here = 0.0 if i == T + 1 else w[lay.r + stride * i - 1]
             if prev >= rho:
                 if here <= half:
-                    if i < T and w[lay.r + stride * (i + 1) - 1] > half:
-                        # cheap sanity: the next clock must still be cold
-                        if w[lay.r + stride * (i + 1) - 1] < rho:
-                            raise ClockRegionError(
-                                f"clock value {w[lay.r + stride * (i + 1) - 1]}"
-                                f" in the dead zone ({half}, {rho})")
+                    nxt = w[lay.r + stride * (i + 1) - 1] if i < T else 0.0
+                    if nxt > half:  # the next clock must still be cold
+                        if nxt < rho:
+                            raise _clock_error(nxt, half, rho)
                         raise TrajectoryError(
                             f"clock {i + 1} fired before clock {i}")
                     return i
@@ -334,11 +342,9 @@ class _CompiledCore:
                         unfired = np.flatnonzero(~(clocks >= rho))
                         i += int(unfired[0]) if unfired.size else T + 1 - i
                     continue
-                raise ClockRegionError(
-                    f"clock value {here} in the dead zone ({half}, {rho})")
-            if prev > half:
-                raise ClockRegionError(
-                    f"clock value {prev} in the dead zone ({half}, {rho})")
+                raise _clock_error(here, half, rho)
+            if not prev <= half:
+                raise _clock_error(prev, half, rho)
             raise TrajectoryError("no active round: clocks out of order")
 
     def _check_later_clocks(self, w: np.ndarray, i: int) -> None:
@@ -352,8 +358,7 @@ class _CompiledCore:
             j = i + 1 + int(warm[0])
             v = float(later[warm[0]])
             if not v >= rho:
-                raise ClockRegionError(
-                    f"clock value {v} in the dead zone ({half}, {rho})")
+                raise _clock_error(v, half, rho)
             raise TrajectoryError(f"clock {j} fired before clock {j - 1}")
 
     # -- program replay
@@ -464,39 +469,19 @@ class _CompiledCore:
         return PadTail(coords, clipped(0.0), clipped(1.0), self.rho)
 
     def gradient(self, w: np.ndarray, ex: Example) -> dict[int, float]:
-        cur, i = self._locate(w)
-        lay = self.layout
-        if i == lay.T + 1:
-            return {}
-        kidx = lay.r + (lay.p + 1) * i - 1
-        kap = float(w[kidx])
-        q = self._query(cur, w, i)
-        odd = i % 2 == 1
-        sign = 1.0 if odd else -1.0
-        if q is None:
-            # past the program's finish: a pure clock-advancing pad round
-            f = kap - self.eps if odd else 1.0 - kap + self.eps
-            return {kidx: SQUARE_LOSS.derivative(f, float(ex.y)) * sign}
-        feats = q.evaluate(Example(ex.x, 1 if odd else 0))
-        inner = float(feats @ lay.theta(w, i))
-        f = inner + kap - self.eps if odd else 1.0 - inner - kap + self.eps
-        lp = SQUARE_LOSS.derivative(f, float(ex.y))
-        base = lay.start(i)
-        g = {base + j: lp * sign * float(v)
-             for j, v in enumerate(feats) if v != 0.0}
-        g[kidx] = lp * sign
-        return g
+        """`batch_gradient`'s one-row case: a dict of its held entries."""
+        return _block_rows(*self.batch_gradient(
+            w, (ex,), joint_bit_matrix((ex,))))[0]
 
     def batch_gradient(self, w: np.ndarray, items, bits: np.ndarray,
                        store: _ValueStore | None = None,
                        rows: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`gradient` on every example of a round, as one block: the
-        query's values relabelled to the round's label, taken from the
-        run's `store` (the round: pool rows `rows`) or from a store over
-        this round alone, and 1-D dots as in `gradient`, since a matrix
-        product may round differently (the sign of a zero dot never
-        reaches f)."""
+        """The loss gradients of a round's examples as one block: the
+        query's values relabelled to the round's label, from the run's
+        `store` (the round: pool rows `rows`) or a store over this round,
+        and each row's dot with the round's block in 1-D, since a matrix
+        product may round differently (a zero dot's sign never reaches f)."""
         cur, i = self._locate(w)
         lay = self.layout
         b = len(items)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -331,8 +332,8 @@ class _ValueStore:
     `values(query, label)` evaluates a query once on the whole pool
     (relabelled to `label` if one is given) and keeps the read-only
     (P, arity) values under `(query.key, label)`, since equal keys mean
-    equal values and checks; an unkeyed query is kept under the object
-    itself, which an oracle's repeat wrappers ask again and again.
+    equal values and checks; an unkeyed query's are kept under the object
+    for as long as it lives: repeat wrappers ask one object again and again.
 
     `take` serves one round's rows.  An unkeyed query, or a keyed one
     that failed a check anywhere on the pool, is evaluated on the round's
@@ -345,6 +346,7 @@ class _ValueStore:
         self._pool = pool
         self.bits = bits
         self._values: dict[Hashable, np.ndarray] = {}
+        self._unkeyed = weakref.WeakKeyDictionary()
         self._failed: set[tuple] = set()
         self.evaluations = 0
         self.hits = 0
@@ -360,15 +362,16 @@ class _ValueStore:
     def values(self, query: SQQuery, label: int | None = None) -> np.ndarray:
         """The checked values on the pool; raises the error of a failed
         check, keeping nothing."""
-        key = query if query.key is None else (query.key, label)
-        vals = self._values.get(key)
+        held, key = ((self._unkeyed, query) if query.key is None
+                     else (self._values, (query.key, label)))
+        vals = held.get(key)
         if vals is not None:
             self.hits += 1
             return vals
         self.evaluations += 1
         vals = query.evaluate(*_relabel(self.pool, self.bits, label))
         vals.setflags(write=False)
-        self._values[key] = vals
+        held[key] = vals
         return vals
 
     def take(self, query: SQQuery, rows: np.ndarray | None, items,
@@ -582,8 +585,8 @@ class DiffModel:
     entries each example's dict would hold, in that coordinate order.
     The runners pass their run's value store over the pool and the
     round's pool rows (None: the whole pool in order).  It must match
-    bit for bit the block the runners otherwise lift from the clipped
-    per-example gradients (for dense ones: coordinates and mask None).
+    bit for bit the block the runners otherwise lift from the per-example
+    gradients (for dense ones: coordinates and mask None).
     """
 
     dim: int
@@ -665,26 +668,42 @@ def _draw_init_bits(seed: int, r: int) -> tuple[int, ...]:
     return tuple(rng.integers(0, 2, size=r).tolist())
 
 
+def _clipped_block(model: DiffModel, w: np.ndarray, items: Sequence[Example],
+                   bits: np.ndarray, store: _ValueStore | None = None,
+                   rows: np.ndarray | None = None) -> tuple:
+    """The clipped block (coords, grads, present) of `items` (joint bits:
+    `bits`): the model's batch gradient, handed a `store` over the run's
+    pool with the round's `rows` in it, or its per-example gradients
+    lifted into rows, sparse ones over their keys in first-seen order."""
+    if model.batch_gradient is not None:
+        coords, vals, present = model.batch_gradient(
+            w, items, bits, *(() if store is None else (store, rows)))
+        return coords, vals.clip(-1.0, 1.0), present  # np.clip's ufunc
+    grads = [model.loss_gradient(w, ex) for ex in items]
+    coords = present = None
+    if isinstance(grads[0], dict):
+        keys = list(dict.fromkeys(i for g in grads for i in g))
+        coords = np.array(keys, dtype=np.intp)
+        present = np.array([[i in g for i in keys] for g in grads], bool)
+        grads = [[g.get(i, 0.0) for i in keys] for g in grads]
+    for j, g in enumerate(grads):  # row by row: one copy of the block
+        grads[j] = clip1(g)
+    return coords, grads, present
+
+
+def _block_rows(coords, grads: np.ndarray, present) -> list:
+    """A block's rows as per-example gradients: lists for a dense block,
+    dicts of the held entries in coords order for a sparse one."""
+    if present is None:
+        return [g.tolist() for g in grads]
+    return [dict(zip(coords[p].tolist(), g[p].tolist()))
+            for g, p in zip(grads, present)]
+
+
 def _clipped_gradient(model: DiffModel, w: np.ndarray, ex: Example) -> object:
-    g = model.loss_gradient(w, ex)
-    if isinstance(g, dict):
-        return {i: (-1.0 if v < -1.0 else (1.0 if v > 1.0 else v))
-                for i, v in g.items()}
-    return clip1(g)
-
-
-def _lifted_block(model: DiffModel, w: np.ndarray,
-                  items: Sequence[Example]) -> tuple:
-    """The clipped per-example gradients of `items` as a block: dense
-    ones as they are, sparse ones over their keys in order of first
-    appearance."""
-    grads = [_clipped_gradient(model, w, ex) for ex in items]
-    if not isinstance(grads[0], dict):
-        return None, grads, None
-    keys = list(dict.fromkeys(i for g in grads for i in g))
-    return (np.array(keys, dtype=np.intp),
-            np.array([[g.get(i, 0.0) for i in keys] for g in grads], float),
-            np.array([[i in g for i in keys] for g in grads], bool))
+    """One example's row of `_clipped_block`."""
+    return _block_rows(*_clipped_block(model, w, (ex,),
+                                       joint_bit_matrix((ex,))))[0]
 
 
 def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
@@ -692,25 +711,19 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
                    rounding: RoundingOracle, store: _ValueStore | None = None,
                    rows: np.ndarray | None = None
                    ) -> tuple[object, object, object]:
-    """Clip, sum the rows in batch order, average, round, step.
+    """Sum the clipped rows in batch order, average, round, step.
 
     Returns (grads, avg, response), `grads()` listing the clipped rows;
     a sparse block gives them as dicts, as merged per-example dicts do.
-    A `store` over the run's pool, with the round's `rows` in it, goes
-    to the model's batch gradient.
     """
-    if model.batch_gradient is None:
-        coords, grads, present = _lifted_block(model, w, items)
-    else:
-        coords, vals, present = model.batch_gradient(
-            w, items, bits, *(() if store is None else (store, rows)))
-        grads = vals.clip(-1.0, 1.0)  # np.clip's ufunc, without its wrapper
+    coords, grads, present = _clipped_block(model, w, items, bits, store,
+                                            rows)
     b = len(items)
     if present is None:
         avg = sum(grads[1:], grads[0]) / b
         response = round_approximate(avg, rho, rounding)
         w -= gamma * response
-        return lambda: [g.tolist() for g in grads], avg, response
+        return lambda: _block_rows(coords, grads, present), avg, response
     # an absent entry adds -0.0, the exact identity, and a running sum is
     # the batch-order sum; a dict merge's get starts an entry absent from
     # the first row at 0.0, which differs only from a sum of -0.0s
@@ -729,8 +742,7 @@ def _gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
         response[keys[j]] = v
         if v != 0.0:
             w[keys[j]] -= gamma * v
-    return (lambda: [dict(zip(coords[p].tolist(), g[p].tolist()))
-                     for g, p in zip(grads, present)],
+    return (lambda: _block_rows(coords, grads, present),
             {keys[j]: avg[j] for j in first}, response)
 
 

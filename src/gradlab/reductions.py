@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import clip1, round_nearest_multiple
+from .numerics import round_nearest_multiple
 from .paradigms import (
     BSGDMethod,
     BSQMethod,
@@ -35,6 +35,7 @@ from .paradigms import (
     SQQuery,
     Transcript,
     _QueryOracle,
+    _clipped_block,
     eval_method_error,
     parity_learner,
 )
@@ -43,6 +44,7 @@ from .problems import (
     FiniteDistribution,
     TablePredictor,
     ZeroPredictor,
+    joint_bit_matrix,
 )
 from .extract import ExtractionProgram
 
@@ -428,13 +430,9 @@ class _GradientQueryProgram:
     """Each descent step becomes one clipped-gradient vector query."""
 
     model: DiffModel
-    T: int
+    rounds: int
     rho: float
     gamma: float
-
-    @property
-    def rounds(self) -> int:
-        return self.T
 
     @property
     def arity(self) -> int:
@@ -455,26 +453,25 @@ class _GradientQueryRun:
         self.steps = 0
 
     def next_query(self) -> SQQuery | None:
-        prog = self.prog
-        if self.steps >= prog.T:
+        if self.steps >= self.prog.rounds:
             return None
-        w_now = self.w.copy()
+        model, w_now = self.prog.model, self.w.copy()
 
-        def evaluate(example: Example) -> np.ndarray:
-            g = prog.model.loss_gradient(w_now, example)
-            if isinstance(g, dict):
-                dense = np.zeros(prog.model.dim)
-                for idx, val in g.items():
-                    dense[idx] = val
-                g = dense
-            return clip1(np.asarray(g, dtype=float))
+        def block(bits: np.ndarray) -> np.ndarray:
+            items = [Example.from_joint_bits(tuple(z)) for z in bits.tolist()]
+            coords, grads, present = _clipped_block(model, w_now, items, bits)
+            if present is None:
+                return grads
+            dense = np.zeros((len(items), model.dim))
+            dense[:, coords] = np.where(present, grads, 0.0)
+            return dense
 
-        return SQQuery(arity=prog.model.dim, evaluator=evaluate,
-                       name=f"grad-step-{self.steps}")
+        return SQQuery(arity=model.dim, name=f"grad-step-{self.steps}",
+                       evaluator=lambda ex: block(joint_bit_matrix((ex,)))[0],
+                       block=block)
 
     def receive(self, response: Sequence[float]) -> None:
-        snapped = round_nearest_multiple(np.asarray(response, dtype=float),
-                                         self.prog.rho)
+        snapped = round_nearest_multiple(response, self.prog.rho)
         self.w = self.w - self.prog.gamma * snapped
         self.steps += 1
 
@@ -486,10 +483,15 @@ def bsgd_to_bsq(model: DiffModel, T: int, rho: float, b: int,
                 gamma: float = 1.0) -> BSQMethod:
     """Replace each stochastic descent step by one batch gradient query.
 
-    The oracle runs at a quarter of the gradient precision; snapping
-    its response back onto the precision grid lands within 3/4 of a
-    grid step of the true batch gradient, which is exactly the validity
-    band of the descent rule.
+    A query's values on a batch are the runners' clipped block, each row
+    scattered to `dim` entries.  The oracle runs at a quarter of the
+    gradient precision; snapping its response back onto the precision
+    grid lands within 3/4 of a grid step of the true batch gradient,
+    which is exactly the validity band of the descent rule.
+
+    `run(D, seed)` does not retrace `run_bsgd(..., seed=seed)`: init bits
+    come from `[seed, 0xB117]` here and `[seed, 0x1B17]` there, and the
+    batches from other streams.
     """
     program = _GradientQueryProgram(model, T, rho, gamma)
     return BSQMethod(k=T, tau=rho / 4, b=b, program=program,

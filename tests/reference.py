@@ -20,6 +20,11 @@ The compiled round: a program's prefix queries built fresh each round
 (`ReferenceExtractionProgram`), its bit cursor serving one bit per call,
 nearest rounding always on numpy, and the block step's sparse tail in
 numpy calls: masked rows, the row-0 fix, argsorts and fancy indexing.
+
+The gradient path: a compiled model's per-example loss gradient worked
+out as its own dict formula (`compiled_gradient`), which the runners
+lift into a block when the model has no batch gradient
+(`per_example_model`).
 """
 from __future__ import annotations
 
@@ -52,13 +57,13 @@ from gradlab.paradigms import (
     LabelRestriction,
     SQQuery,
     _IntBits,
-    _lifted_block,
+    _clipped_block,
     _Relabelled,
     _ValueStore,
     constant_zero_query,
     round_restriction,
 )
-from gradlab.problems import Example, ZeroPredictor
+from gradlab.problems import SQUARE_LOSS, Example, ZeroPredictor
 
 
 class BitStream:
@@ -391,7 +396,7 @@ def gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
                   rows: np.ndarray | None = None):
     """The block step with its sparse tail in numpy calls."""
     if model.batch_gradient is None:
-        coords, grads, present = _lifted_block(model, w, items)
+        coords, grads, present = _clipped_block(model, w, items, bits)
     else:
         coords, vals, present = model.batch_gradient(
             w, items, bits, *(() if store is None else (store, rows)))
@@ -415,3 +420,45 @@ def gradient_step(model: DiffModel, w: np.ndarray, items: Sequence[Example],
                      for g, p in zip(grads, present)],
             dict(zip(coords[first].tolist(), avg[first].tolist())),
             dict(zip(coords[held].tolist(), rounded.tolist())))
+
+
+# ---------------------------------------------------------------------------
+# the gradient path
+
+
+def compiled_gradient(core, w: np.ndarray, ex: Example) -> dict[int, float]:
+    """A compiled model's loss gradient on one example, by its own formula:
+    the query's value on the example relabelled to the round's label, its
+    1-D dot with the round's block, and the held entries in coordinate
+    order."""
+    cur, i = core._locate(w)
+    lay = core.layout
+    if i == lay.T + 1:
+        return {}
+    kidx = lay.r + (lay.p + 1) * i - 1
+    kap = float(w[kidx])
+    q = core._query(cur, w, i)
+    odd = i % 2 == 1
+    sign = 1.0 if odd else -1.0
+    if q is None:
+        # past the program's finish: a pure clock-advancing pad round
+        f = kap - core.eps if odd else 1.0 - kap + core.eps
+        return {kidx: SQUARE_LOSS.derivative(f, float(ex.y)) * sign}
+    feats = q.evaluate(Example(ex.x, 1 if odd else 0))
+    inner = float(feats @ lay.theta(w, i))
+    f = inner + kap - core.eps if odd else 1.0 - inner - kap + core.eps
+    lp = SQUARE_LOSS.derivative(f, float(ex.y))
+    base = lay.start(i)
+    g = {base + j: lp * sign * float(v)
+         for j, v in enumerate(feats) if v != 0.0}
+    g[kidx] = lp * sign
+    return g
+
+
+def per_example_model(model: DiffModel) -> DiffModel:
+    """The compiled `model` without its batch gradient, its loss gradient
+    worked out by `compiled_gradient`: the runners lift it per example."""
+    core = model.batch_gradient.__self__
+    return dataclasses.replace(
+        model, batch_gradient=None,
+        loss_gradient=lambda w, ex: compiled_gradient(core, w, ex))

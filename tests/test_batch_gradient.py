@@ -2,8 +2,9 @@
 
 `batch_gradient` gives a round's per-example loss gradients as one
 block, which the runners clip, sum in batch order, average and round.
-The reference is the same model without it: the runners lift its
-per-example gradients into the same block.  Both must agree bit for
+The reference is the same model without it, its per-example gradients
+worked out by their own formula (`reference.compiled_gradient`), which
+the runners lift into the same block.  Both must agree bit for
 bit on final parameters, transcript bytes, audits, everything a plain
 hook is handed (keys, their order, the bits of every value) and any
 error raised.
@@ -32,6 +33,7 @@ from gradlab.paradigms import (
 )
 from gradlab.problems import Example, FiniteDistribution, sample_batch
 from gradlab.reductions import build_pipeline
+from reference import per_example_model
 from test_train_bytes import _audit_fields
 
 N = 3  # input bits of the table programs
@@ -171,7 +173,7 @@ def _outcome(train, program, rho, path):
 def _both(case, runner, b, gamma, strategy, seed, flags, path):
     model, program, T, rho, D = case
     assert model.batch_gradient is not None
-    reference = dataclasses.replace(model, batch_gradient=None)
+    reference = per_example_model(model)
     record, record_items, record_hashes = flags
     kw = dict(rounding=RoundingOracle(strategy, seed=seed), seed=seed,
               record=record, record_items=record_items,

@@ -126,6 +126,14 @@ class TestClockGate:
         with pytest.raises(ClockRegionError):
             clock_gate(0.75 * RHO, 0.0, 5.0, RHO)
 
+    @pytest.mark.parametrize("pair", [(np.nan, 0.0), (2 * RHO, np.nan),
+                                      (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_clock_is_named(self, pair):
+        # NaN fails every region comparison; the error names it, not a
+        # dead zone it never entered
+        with pytest.raises(ClockRegionError, match="nan is not a number"):
+            clock_gate(*pair, 1.0, RHO)
+
 
 class TestSnapResponses:
     def test_grid_points_pass_through(self):
@@ -495,6 +503,37 @@ class TestPureFunctionOfParameters:
             model.value(w, (0, 0))
         with pytest.raises(error):
             model.loss_gradient(w, Example((1, 0), 1))
+
+    @pytest.mark.parametrize("clock", [1, 2, 3, 253])
+    def test_nan_clock_is_named(self, clock):
+        # the walk (clock 1) and the check of later clocks (the others)
+        # both name a NaN clock, and it stays a ClockRegionError
+        method, prog = parity_pipeline()
+        model = method.model
+        w = model.init((0,) * prog.random_bits)
+        w[prog.random_bits + (prog.arity + 1) * clock - 1] = np.nan
+        for call in (lambda: model.value(w, (0, 0)), lambda: model.pad_tail(w),
+                     lambda: model.loss_gradient(w, Example((1, 0), 1))):
+            with pytest.raises(ClockRegionError,
+                               match=r"^clock value nan is not a number$"):
+                call()
+
+    @pytest.mark.parametrize("back", [0, 1])
+    def test_nan_in_a_fired_clock_is_named(self, back):
+        # a hook writes NaN in place into the clock the round just fired
+        # (the walk's current clock) or the one before (its previous one)
+        method, prog = parity_pipeline()
+        D = FiniteDistribution.random(2, 6, seed=3)
+
+        def hook(info):
+            if info.index == 5:
+                t = info.index - back
+                info.w[prog.random_bits + (prog.arity + 1) * t - 1] = np.nan
+
+        with pytest.raises(ClockRegionError,
+                           match=r"^clock value nan is not a number$"):
+            run_bsgd(method.model, D, method.T, method.rho, method.b,
+                     seed=1, record=False, hook=hook)
 
     @pytest.mark.parametrize("value", [1.0, 0.75, float("nan")])
     def test_pad_pass_keeps_the_next_clock_check(self, value):

@@ -11,6 +11,7 @@ parameters, transcript bytes, hook views, audits or errors, and the
 same next random draw of a query oracle.
 """
 import dataclasses
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -21,11 +22,14 @@ import reference
 from gradlab.diffsim import TrajectoryAuditor, compile_program
 from gradlab.numerics import RoundingOracle, RoundingStrategy
 from gradlab.paradigms import (
+    BSQMethod,
+    BSQOracle,
     FBSQOracle,
     GeneratorProgram,
     NoiseAdversary,
     QueryRangeError,
     RoundBlock,
+    SQQuery,
     _apply_noise,
     _drive_query_method,
     _ValueStore,
@@ -33,7 +37,12 @@ from gradlab.paradigms import (
     run_fbgd,
 )
 from gradlab.problems import Example, FiniteDistribution, sample_batch
-from gradlab.reductions import build_pipeline
+from gradlab.reductions import (
+    _label_split,
+    _repeat,
+    bsgd_to_bsq,
+    build_pipeline,
+)
 from test_batch_gradient import (
     CODE_WEIGHTS,
     RHO,
@@ -330,6 +339,61 @@ def test_a_hook_writing_into_its_rows_raises():
     loop = dataclasses.replace(query, block=None, key=("loop", query.key))
     seen.append(_ValueStore(None, D.joint_bits).values(loop, 1).tobytes())
     assert seen[0] == seen[1] == seen[2]
+
+
+# ---------------------------------------------------------------------------
+# an unkeyed query's values live as long as the query
+
+
+def _asks(oracle, method, seed: int) -> list:
+    """Drive `method`'s program against `oracle`; weak references to the
+    queries it was asked, in order."""
+    seen = []
+    ask = oracle.ask
+
+    def asking(query):
+        seen.append(weakref.ref(query))
+        return ask(query)
+
+    oracle.ask = asking
+    _drive_query_method(method.program, method.k, oracle, seed,
+                        method.program.arity)
+    return seen
+
+
+def test_finished_gradient_queries_leave_the_store():
+    model, _, T, rho, D, _ = _pipeline("bsq", 2)
+    bsq = bsgd_to_bsq(model, T, rho, 2)
+    oracle = BSQOracle(D, 2, bsq.tau, seed=1, record=False)
+    seen = _asks(oracle, bsq, 1)
+    store = oracle._store
+    assert len(seen) == T and store.evaluations == T and store.hits == 0
+    assert all(ref() is None for ref in seen)
+    assert not store._values and not len(store._unkeyed)
+
+
+@pytest.mark.parametrize("wrap,distinct", [(_repeat, 1), (_label_split, 2)])
+def test_repeated_queries_are_evaluated_once(wrap, distinct):
+    # the wrappers' pending lists keep a round's queries alive, so every
+    # repeat of an unkeyed query hits its stored values
+    D = FiniteDistribution.random(2, 6, seed=3)
+    k, q = 5, 3
+
+    def qgen(t, bits, responses):
+        return SQQuery(1, lambda ex: [0.125 * t * ex.x[0]], name=f"x0-{t}")
+
+    inner = GeneratorProgram(rounds=k, arity=1, random_bits=0,
+                             query_generator=qgen,
+                             final_predictor=lambda bits, rs: rs)
+    program = wrap(inner, q)
+    method = BSQMethod(k=k * distinct * q, tau=1 / 16, b=4, program=program)
+    oracle = BSQOracle(D, 4, 1 / 16, seed=2, record=False)
+    seen = _asks(oracle, method, 2)
+    store = oracle._store
+    assert len(seen) == k * distinct * q
+    assert store.evaluations == k * distinct
+    assert store.hits == k * distinct * (q - 1)
+    assert all(ref() is None for ref in seen)
 
 
 # ---------------------------------------------------------------------------
